@@ -68,6 +68,8 @@ class ChipSpec:
     gates: tuple[GateDecl, ...]
     calibrations: dict[str, Calibration]
     delay_gates_enabled: bool = True
+    _gate_index: dict[str, GateDecl] = field(init=False, repr=False, compare=False)
+    _qubit_set: frozenset[QubitId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.qubits)) != len(self.qubits):
@@ -79,7 +81,7 @@ class ChipSpec:
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise ChipError(f"duplicate gate name {dup!r}")
-        qubit_set = set(self.qubits)
+        qubit_set = frozenset(self.qubits)
         for g in self.gates:
             if not _IDENT.match(g.name):
                 raise ChipError(f"invalid gate name {g.name!r}")
@@ -106,34 +108,36 @@ class ChipSpec:
                 for v in arr:
                     if not (_I32_MIN <= v <= _I32_MAX):
                         raise ChipError(f"calibration sample {v} out of 32-bit range")
+        object.__setattr__(self, "_gate_index", by_name)
+        object.__setattr__(self, "_qubit_set", qubit_set)
 
     # ---------------------------------------------------------- lookups
 
     def has_qubit(self, q: QubitId) -> bool:
-        return q in self.qubits
+        return q in self._qubit_set
+
+    def delay_of(self, name: str) -> tuple[QubitId, int] | None:
+        """Qubit and duration of the delay gate ``name`` synthesises, if any."""
+        parsed = parse_delay_name(name)
+        if parsed is None or not self.delay_gates_enabled:
+            return None
+        q, d = parsed
+        return parsed if self.has_qubit(q) and d >= 1 else None
 
     def find_gate(self, name: str) -> GateDecl | None:
         """Resolve a gate name, synthesising delay gates on demand."""
-        for g in self.gates:
-            if g.name == name:
-                return g
-        parsed = parse_delay_name(name)
-        if parsed is not None and self.delay_gates_enabled:
-            q, d = parsed
-            if self.has_qubit(q) and d >= 1:
-                return GateDecl(name=name, qubits=(q,), duration=d)
-        return None
+        decl = self._gate_index.get(name)
+        if decl is None and (delay := self.delay_of(name)) is not None:
+            q, d = delay
+            decl = GateDecl(name=name, qubits=(q,), duration=d)
+        return decl
 
     def find_calibration(self, name: str) -> Calibration | None:
         cal = self.calibrations.get(name)
-        if cal is not None:
-            return cal
-        parsed = parse_delay_name(name)
-        if parsed is not None and self.delay_gates_enabled:
-            q, d = parsed
-            if self.has_qubit(q) and d >= 1:
-                return Calibration(gate=name, samples={q: (0,) * d})
-        return None
+        if cal is None and (delay := self.delay_of(name)) is not None:
+            q, d = delay
+            cal = Calibration(gate=name, samples={q: (0,) * d})
+        return cal
 
 
 def parse_delay_name(name: str) -> tuple[QubitId, int] | None:
@@ -153,9 +157,7 @@ def delay_gate(chip: ChipSpec, qubit: QubitId, duration: int) -> tuple[GateDecl,
     if duration < 1:
         raise ChipError(f"delay duration must be >= 1, got {duration}")
     name = f"delay[{qubit},{duration}]"
-    decl = GateDecl(name=name, qubits=(qubit,), duration=duration)
-    cal = Calibration(gate=name, samples={qubit: (0,) * duration})
-    return decl, cal
+    return chip.find_gate(name), chip.find_calibration(name)
 
 
 def _expect(cond: bool, message: str) -> None:

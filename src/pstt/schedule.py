@@ -78,31 +78,89 @@ class ValidationReport:
 
 
 def emit(j: Judgement, chip: ChipSpec) -> Schedule:
-    """Interpret a checked judgement in the calibrated pulse model."""
-    from .semantics import PulseModel, interpret
+    """Place every gate's calibration of a checked judgement on its channels.
+
+    One walk over the derivation carries the absolute time ``o`` at which
+    the current subterm finishes; a gate finishing at ``o`` writes its
+    calibration at ``[o - duration, o)``.  These are the offsets the
+    pulse model's action gives the generic interpreter, which remains the
+    reference: ``interpret`` in ``PulseModel`` yields the same channels.
+    """
+    from .semantics import ModelError
 
     evidence = check(j, chip)
-    model = PulseModel(chip)
-    mor = interpret(j, evidence, model)
-    channels = []
-    for grade, qubit in sorted(mor.src.entries, key=lambda e: e[1]):
-        channels.append(
-            Channel(
-                qubit=qubit,
-                start=grade,
-                end=mor.tgt.grade_of(qubit),
-                samples=mor.signal(qubit),
-            )
-        )
-    provenance = tuple(
-        (p.gate, p.qubit, p.start, p.end)
-        for p in sorted(mor.provenance, key=lambda p: (p.qubit, p.start, p.gate))
+    starts, ends = _channel_grades(j)
+    if starts.keys() != ends.keys():
+        raise ModelError(f"context qubits {sorted(starts)} differ from type qubits {sorted(ends)}")
+    for q in starts:
+        if not chip.has_qubit(q):
+            raise ModelError(f"unknown qubit {q!r}")
+
+    # per qubit: (start, end, samples) written; None samples are a delay
+    writes: dict[str, list[tuple[int, int, tuple[int, ...] | None]]] = {q: [] for q in starts}
+    provenance: list[tuple[str, str, int, int]] = []
+    stack = [(evidence, 0)]
+    while stack:
+        d, o = stack.pop()
+        match d.rule:
+            case "gate":
+                name = d.term.gate
+                decl = chip.find_gate(name)
+                if decl is None:
+                    raise ModelError(f"unknown gate {name!r}")
+                cal = chip.calibrations.get(name)
+                if cal is None and chip.delay_of(name) is None:
+                    raise MissingCalibration(name)
+                lo = o - decl.duration
+                for q in decl.qubits:
+                    if q not in writes:
+                        raise ModelError(f"gate {name!r} acts on {q!r}, which has no channel")
+                    writes[q].append((lo, o, None if cal is None else cal.samples[q]))
+                    provenance.append((name, q, lo, o))
+                stack += [(p, o - d.params[0]) for p in d.premises]
+            case "unit-elim" | "pair-elim" | "box-elim":
+                scrut, body = d.premises
+                shift = d.params[0] if d.rule != "box-elim" else d.params[1] - d.params[0]
+                stack += [(scrut, o + shift), (body, o)]
+            case "box-intro":
+                stack.append((d.premises[0], o + d.params[0]))
+            case "pair-intro":
+                stack += [(p, o) for p in d.premises]
+            case "var" | "unit-intro":
+                pass
+            case rule:
+                raise ModelError(f"unknown derivation rule {rule!r}")
+
+    channels = tuple(
+        Channel(q, starts[q], ends[q], _tile(q, starts[q], ends[q], writes[q]))
+        for q in sorted(starts)
     )
-    return Schedule(tuple(channels), provenance)
+    provenance.sort(key=lambda p: (p[1], p[2], p[0]))
+    return Schedule(channels, tuple(provenance))
 
 
-def _expected_spans(j: Judgement) -> dict[str, tuple[int, int]]:
-    """Per-qubit (start, end) the judgement dictates for its channels."""
+def _tile(
+    qubit: str, start: int, end: int, writes: list[tuple[int, int, tuple[int, ...] | None]]
+) -> tuple[int, ...]:
+    """Samples of ``[start, end)`` from writes that must tile it exactly."""
+    from .semantics import ModelError
+
+    buf = [0] * (end - start)
+    at = start
+    for lo, hi, samples in sorted(writes, key=lambda w: (w[0], w[1])):
+        if lo != at:
+            kind = "gap" if lo > at else "overlap"
+            raise ModelError(f"channel {qubit}: {kind} at {min(lo, at)} in [{start}, {end})")
+        if samples is not None:
+            buf[lo - start : hi - start] = samples
+        at = hi
+    if at != end:
+        raise ModelError(f"channel {qubit}: writes end at {at}, not at {end}")
+    return tuple(buf)
+
+
+def _channel_grades(j: Judgement) -> tuple[dict[str, int], dict[str, int]]:
+    """Per-qubit start grades from the context, end grades from the type."""
     from .semantics import ModelError, type_pulse_object
 
     starts: dict[str, int] = {}
@@ -113,6 +171,12 @@ def _expected_spans(j: Judgement) -> dict[str, tuple[int, int]]:
                 raise ModelError(f"qubit collision in context: {q}")
             starts[q] = g + entry.grade
     ends = {q: g for g, q in type_pulse_object(j.type).entries}
+    return starts, ends
+
+
+def _expected_spans(j: Judgement) -> dict[str, tuple[int, int]]:
+    """Per-qubit (start, end) the judgement dictates for its channels."""
+    starts, ends = _channel_grades(j)
     spans: dict[str, tuple[int, int]] = {}
     for q in sorted(set(starts) | set(ends)):
         start = starts.get(q, ends.get(q, 0))
@@ -145,11 +209,12 @@ def validate(s: Schedule, j: Judgement) -> ValidationReport:
     """
     spans = _expected_spans(j)
     reports: list[ChannelReport] = []
-    seen: set[str] = set()
+    by_qubit: dict[str, Channel] = {}
+    for ch in s.channels:
+        by_qubit.setdefault(ch.qubit, ch)
 
     for qubit, (start, end) in spans.items():
-        seen.add(qubit)
-        ch = s.channel(qubit)
+        ch = by_qubit.get(qubit)
         if ch is None:
             gaps = [(start, end)] if end > start else []
             reports.append(ChannelReport(qubit, start, end, tuple(gaps), ()))
@@ -162,7 +227,7 @@ def validate(s: Schedule, j: Judgement) -> ValidationReport:
         reports.append(ChannelReport(qubit, start, end, tuple(gaps), tuple(overlaps)))
 
     for ch in s.channels:
-        if ch.qubit not in seen and (ch.samples or ch.end > ch.start):
+        if ch.qubit not in spans and (ch.samples or ch.end > ch.start):
             hi = max(ch.end, ch.start + len(ch.samples))
             reports.append(ChannelReport(ch.qubit, None, None, (), ((ch.start, hi),)))
     return ValidationReport(tuple(reports))

@@ -14,8 +14,6 @@ from .pulse import (
     PulseModel,
     PulseMorphism,
     PulseObject,
-    pulse_action,
-    pulse_compose,
     type_pulse_object,
 )
 from .syntactic import SynMorphism, SyntacticModel
@@ -35,8 +33,6 @@ __all__ = [
     "context_obj",
     "context_shape",
     "interpret",
-    "pulse_action",
-    "pulse_compose",
     "sample_pulse_morphisms",
     "sample_pulse_objects",
     "type_pulse_object",

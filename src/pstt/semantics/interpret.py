@@ -12,7 +12,17 @@ from typing import Any
 
 from ..syntax import Context, CtxEntry, Judgement
 from ..typecheck import Derivation
-from .model import Model, ModelError, Shape, ShapeLeaf, ShapeNode, ShapeUnit, shape_obj, structural
+from .model import (
+    Model,
+    ModelError,
+    Shape,
+    ShapeLeaf,
+    ShapeNode,
+    ShapeUnit,
+    shape_obj,
+    shapes_equal,
+    structural,
+)
 
 
 def context_shape(m: Model, ctx: Context) -> Shape:
@@ -209,7 +219,7 @@ def interpret(j: Judgement, evidence: Derivation, m: Model) -> Any:
     mor = _interp(evidence, m)
     declared = context_shape(m, j.ctx)
     derived = context_shape(m, evidence.ctx)
-    if declared != derived:
+    if not shapes_equal(declared, derived):
         mor = m.compose(mor, structural(m, declared, derived))
     return mor
 

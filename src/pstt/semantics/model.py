@@ -122,6 +122,19 @@ class Model(ABC):
         """[[G]] : -d . (q1 (x) ... (x) qn) -> q1 (x) ... (x) qn."""
 
     # derived helpers ---------------------------------------------------
+    def reorder(self, src: "Shape", dst: "Shape") -> Any:
+        """Structural isomorphism between two shapes over the same leaves.
+
+        The default is the coherence construction: associators and unitors
+        to right-nested combs, braids to permute them.  A strict model may
+        override it with a direct map, keeping the leaf checks of
+        ``leaf_permutation``.
+        """
+        f_src, _, src_objs = _to_comb(self, src)
+        _, b_dst, _ = _to_comb(self, dst)
+        perm = leaf_permutation(self, shape_leaves(src), shape_leaves(dst))
+        return self.compose_all([f_src, _perm_comb(self, src_objs, perm), b_dst])
+
     def compose_all(self, morphisms: list[Any]) -> Any:
         """Compose a pipeline given first-to-last."""
         if not morphisms:
@@ -147,8 +160,8 @@ class Model(ABC):
 # ---------------------------------------------------------------- shapes
 #
 # A shape is the parenthesis tree of a tensor expression with named leaves;
-# the structural() builder produces the canonical isomorphism between any
-# two shapes over the same leaves, via associators, unitors and braidings.
+# structural() produces the canonical isomorphism between any two shapes
+# over the same leaves through the model's reorder() hook.
 
 
 @dataclass(frozen=True)
@@ -171,15 +184,75 @@ class ShapeNode:
 Shape = ShapeUnit | ShapeLeaf | ShapeNode
 
 
+def shape_leaves(sh: Shape) -> list[ShapeLeaf]:
+    """The leaves of a shape, left to right."""
+    out: list[ShapeLeaf] = []
+    stack = [sh]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ShapeNode):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, ShapeLeaf):
+            out.append(node)
+        elif not isinstance(node, ShapeUnit):
+            raise ModelError(f"not a shape: {node!r}")
+    return out
+
+
+def shapes_equal(a: Shape, b: Shape) -> bool:
+    """Structural equality of two shapes, without recursion."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, ShapeNode) and isinstance(y, ShapeNode):
+            stack.append((x.right, y.right))
+            stack.append((x.left, y.left))
+        elif isinstance(x, ShapeNode) or isinstance(y, ShapeNode) or x != y:
+            return False
+    return True
+
+
 def shape_obj(m: Model, sh: Shape) -> Any:
-    match sh:
-        case ShapeUnit():
-            return m.unit()
-        case ShapeLeaf(obj, _):
-            return obj
-        case ShapeNode(l, r):
-            return m.tensor_obj(shape_obj(m, l), shape_obj(m, r))
-    raise ModelError(f"not a shape: {sh!r}")
+    """The object a shape denotes: its leaves tensored along its tree."""
+    values: list[Any] = []
+    stack: list[tuple[Shape, bool]] = [(sh, False)]
+    while stack:
+        node, children_done = stack.pop()
+        match node:
+            case ShapeUnit():
+                values.append(m.unit())
+            case ShapeLeaf(obj, _):
+                values.append(obj)
+            case ShapeNode(l, r):
+                if children_done:
+                    right = values.pop()
+                    values.append(m.tensor_obj(values.pop(), right))
+                else:
+                    stack += [(node, True), (r, False), (l, False)]
+            case _:
+                raise ModelError(f"not a shape: {node!r}")
+    return values[0]
+
+
+def leaf_permutation(m: Model, src: list[ShapeLeaf], dst: list[ShapeLeaf]) -> list[int]:
+    """perm[j] = index in ``src`` of the leaf named as ``dst[j]``.
+
+    Raises ModelError unless the leaves carry the same names, each once,
+    with the same object on both sides.
+    """
+    src_names = [leaf.name for leaf in src]
+    dst_names = [leaf.name for leaf in dst]
+    if sorted(src_names) != sorted(dst_names):
+        raise ModelError(f"leaf mismatch: {src_names} vs {dst_names}")
+    index = {name: i for i, name in enumerate(src_names)}
+    if len(index) != len(src_names):
+        raise ModelError(f"duplicate leaf names in {src_names}")
+    perm = [index[name] for name in dst_names]
+    for j, i in enumerate(perm):
+        if not m.obj_eq(src[i].obj, dst[j].obj):
+            raise ModelError(f"leaf {dst_names[j]!r} changes object across shapes")
+    return perm
 
 
 def _comb_obj(m: Model, objs: list[Any]) -> Any:
@@ -213,22 +286,22 @@ def _merge_combs(m: Model, left: list[Any], right: list[Any]) -> tuple[Any, Any]
     return fwd, bwd
 
 
-def _to_comb(m: Model, sh: Shape) -> tuple[Any, Any, list[Any], list[str]]:
-    """shape <-> right-nested comb of its leaves: (fwd, bwd, objs, names)."""
+def _to_comb(m: Model, sh: Shape) -> tuple[Any, Any, list[Any]]:
+    """shape <-> right-nested comb of its leaves: (fwd, bwd, objs)."""
     match sh:
         case ShapeUnit():
             i = m.identity(m.unit())
-            return i, i, [], []
-        case ShapeLeaf(obj, name):
+            return i, i, []
+        case ShapeLeaf(obj, _):
             i = m.identity(obj)
-            return i, i, [obj], [name]
+            return i, i, [obj]
         case ShapeNode(l, r):
-            fl, bl, ol, nl = _to_comb(m, l)
-            fr, br, orr, nr = _to_comb(m, r)
+            fl, bl, ol = _to_comb(m, l)
+            fr, br, orr = _to_comb(m, r)
             mf, mb = _merge_combs(m, ol, orr)
             fwd = m.compose(mf, m.tensor_mor(fl, fr))
             bwd = m.compose(m.tensor_mor(bl, br), mb)
-            return fwd, bwd, ol + orr, nl + nr
+            return fwd, bwd, ol + orr
     raise ModelError(f"not a shape: {sh!r}")
 
 
@@ -265,17 +338,6 @@ def _perm_comb(m: Model, objs: list[Any], perm: list[int]) -> Any:
 
 def structural(m: Model, src: Shape, dst: Shape) -> Any:
     """Canonical structural isomorphism between shapes with matching leaves."""
-    if src == dst:
+    if shapes_equal(src, dst):
         return m.identity(shape_obj(m, src))
-    f_src, _, src_objs, src_names = _to_comb(m, src)
-    _, b_dst, dst_objs, dst_names = _to_comb(m, dst)
-    if sorted(src_names) != sorted(dst_names):
-        raise ModelError(f"leaf mismatch: {src_names} vs {dst_names}")
-    index = {name: i for i, name in enumerate(src_names)}
-    if len(index) != len(src_names):
-        raise ModelError(f"duplicate leaf names in {src_names}")
-    perm = [index[name] for name in dst_names]
-    for j, i in enumerate(perm):
-        if not m.obj_eq(src_objs[i], dst_objs[j]):
-            raise ModelError(f"leaf {dst_names[j]!r} changes object across shapes")
-    return m.compose_all([f_src, _perm_comb(m, src_objs, perm), b_dst])
+    return m.reorder(src, dst)

@@ -14,29 +14,27 @@ schedule metadata and takes no part in morphism equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 from ..chip import ChipSpec
 from ..syntax import Qubit, TypeExpr
-from .model import Model, ModelError
+from .model import Model, ModelError, Shape, leaf_permutation, shape_leaves
 
 
 @dataclass(frozen=True)
 class PulseObject:
     entries: tuple[tuple[int, str], ...]  # (grade ns, qubit), qubits distinct
+    qubits: frozenset[str] = field(init=False, repr=False, compare=False)
+    _grades: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        qubits = [q for _, q in self.entries]
-        if len(set(qubits)) != len(qubits):
+        grades = {q: g for g, q in self.entries}
+        if len(grades) != len(self.entries):
             raise ModelError(f"object repeats a qubit: {self.entries}")
+        object.__setattr__(self, "_grades", grades)
+        object.__setattr__(self, "qubits", frozenset(grades))
 
     def grade_of(self, qubit: str) -> int:
-        for g, q in self.entries:
-            if q == qubit:
-                return g
-        raise KeyError(qubit)
-
-    @property
-    def qubits(self) -> frozenset[str]:
-        return frozenset(q for _, q in self.entries)
+        return self._grades[qubit]
 
 
 @dataclass(frozen=True)
@@ -53,6 +51,7 @@ class PulseMorphism:
     tgt: PulseObject
     signals: tuple[tuple[str, tuple[int, ...]], ...]  # sorted by qubit
     provenance: tuple[Provenance, ...] = field(default=(), compare=False)
+    _signal: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.src.qubits != self.tgt.qubits:
@@ -60,19 +59,23 @@ class PulseMorphism:
                 f"source and target qubits differ: {self.src} vs {self.tgt}"
             )
         sig = dict(self.signals)
-        if set(sig) != set(self.src.qubits):
+        if sig.keys() != self.src.qubits:
             raise ModelError("signals must cover exactly the object qubits")
-        for q in self.src.qubits:
+        for q, samples in sig.items():
             lo, hi = self.src.grade_of(q), self.tgt.grade_of(q)
             if lo > hi:
                 raise ModelError(f"channel {q} runs backwards: [{lo}, {hi})")
-            if len(sig[q]) != hi - lo:
+            if len(samples) != hi - lo:
                 raise ModelError(
-                    f"channel {q} has {len(sig[q])} samples for [{lo}, {hi})"
+                    f"channel {q} has {len(samples)} samples for [{lo}, {hi})"
                 )
+        object.__setattr__(self, "_signal", sig)
 
     def signal(self, qubit: str) -> tuple[int, ...]:
-        return dict(self.signals)[qubit]
+        return self._signal[qubit]
+
+
+_UNIT = PulseObject(())
 
 
 def _morphism(
@@ -116,7 +119,7 @@ class PulseModel(Model):
 
     # monoidal ----------------------------------------------------------
     def unit(self) -> PulseObject:
-        return PulseObject(())
+        return _UNIT
 
     def tensor_obj(self, a: PulseObject, b: PulseObject) -> PulseObject:
         if a.qubits & b.qubits:
@@ -133,6 +136,18 @@ class PulseModel(Model):
         src = self.tensor_obj(a, b)
         tgt = self.tensor_obj(b, a)
         return _morphism(src, tgt, {q: () for q in src.qubits})
+
+    def reorder(self, src: Shape, dst: Shape) -> PulseMorphism:
+        """Strictness: every structural map is an identity on signals.
+
+        One morphism from ``src``'s object to ``dst``'s, after the same
+        leaf checks the coherence construction makes.
+        """
+        src_leaves, dst_leaves = shape_leaves(src), shape_leaves(dst)
+        leaf_permutation(self, src_leaves, dst_leaves)
+        a = PulseObject(tuple(e for leaf in src_leaves for e in leaf.obj.entries))
+        b = PulseObject(tuple(e for leaf in dst_leaves for e in leaf.obj.entries))
+        return _morphism(a, b, {q: () for q in a.qubits})
 
     def assoc(self, a, b, c) -> PulseMorphism:
         return self.identity(self.tensor_obj(self.tensor_obj(a, b), c))
@@ -154,6 +169,8 @@ class PulseModel(Model):
 
     # action -------------------------------------------------------------
     def act_obj(self, d: int, a: PulseObject) -> PulseObject:
+        if d == 0 or not a.entries:
+            return a
         return PulseObject(tuple((g + d, q) for g, q in a.entries))
 
     def act_mor(self, d: int, f: PulseMorphism) -> PulseMorphism:
@@ -212,26 +229,6 @@ class PulseModel(Model):
             Provenance(gate, q, -decl.duration, 0) for q in decl.qubits
         )
         return _morphism(src, tgt, dict(cal.samples), provenance)
-
-
-def pulse_compose(g: PulseMorphism, f: PulseMorphism) -> PulseMorphism:
-    """Concatenate signals: f's interval first, then g's."""
-    if f.tgt != g.src:
-        raise ModelError(f"cannot compose: {f.tgt} then {g.src}")
-    signals = {q: f.signal(q) + g.signal(q) for q in f.src.qubits}
-    return _morphism(f.src, g.tgt, signals, f.provenance + g.provenance)
-
-
-def pulse_action(d: int, x: PulseObject | PulseMorphism) -> PulseObject | PulseMorphism:
-    """Shift an object's grades, or a morphism's intervals, by ``d``."""
-    if isinstance(x, PulseObject):
-        return PulseObject(tuple((g + d, q) for g, q in x.entries))
-    return _morphism(
-        pulse_action(d, x.src),
-        pulse_action(d, x.tgt),
-        dict(x.signals),
-        tuple(Provenance(p.gate, p.qubit, p.start + d, p.end + d) for p in x.provenance),
-    )
 
 
 def type_pulse_object(ty: TypeExpr) -> PulseObject:

@@ -125,6 +125,7 @@ class _Solver:
 
     def __init__(self) -> None:
         self.solution: dict[int, Affine] = {}
+        self._users: dict[int, set[int]] = {}  # free slack -> solved slacks using it
         self._next = 0
 
     def fresh_slack(self) -> int:
@@ -162,9 +163,11 @@ class _Solver:
         rest = Affine(diff.const, tuple((s, k) for s, k in diff.coeffs if s != sid))
         value = rest.scale(-c)  # c in {1,-1}: sid = -rest/c
         self.solution[sid] = value
-        for k, v in list(self.solution.items()):
-            if k != sid and any(s == sid for s, _ in v.coeffs):
-                self.solution[k] = self.resolve(v)
+        users = self._users.pop(sid, set())
+        for k in users:
+            self.solution[k] = self.resolve(self.solution[k])
+        for s, _ in value.coeffs:
+            self._users.setdefault(s, set()).update(users | {sid})
         return True
 
 

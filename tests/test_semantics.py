@@ -23,8 +23,6 @@ from pstt.semantics import (
     SyntacticModel,
     check_model_laws,
     interpret,
-    pulse_action,
-    pulse_compose,
     sample_pulse_morphisms,
     sample_pulse_objects,
 )
@@ -38,10 +36,13 @@ def mor(src, tgt, signals):
     )
 
 
+MODEL = PulseModel(ChipSpec(qubits=("q1", "q2"), gates=(), calibrations={}))
+
+
 def test_pulse_compose_concatenates():
     f = mor([(-40, "q1")], [(-20, "q1")], {"q1": tuple(range(20))})
     g = mor([(-20, "q1")], [(0, "q1")], {"q1": tuple(range(100, 120))})
-    out = pulse_compose(g, f)
+    out = MODEL.compose(g, f)
     assert out.src.entries == ((-40, "q1"),)
     assert out.tgt.entries == ((0, "q1"),)
     assert out.signal("q1") == tuple(range(20)) + tuple(range(100, 120))
@@ -50,25 +51,25 @@ def test_pulse_compose_concatenates():
 def test_pulse_compose_identity():
     f = mor([(-40, "q1")], [(-20, "q1")], {"q1": (9,) * 20})
     ident = mor([(-20, "q1")], [(-20, "q1")], {"q1": ()})
-    assert pulse_compose(ident, f) == f
+    assert MODEL.compose(ident, f) == f
 
 
 def test_pulse_compose_boundary_mismatch():
     f = mor([(-40, "q1")], [(-20, "q1")], {"q1": (1,) * 20})
     g = mor([(-10, "q1")], [(0, "q1")], {"q1": (2,) * 10})
     with pytest.raises(ModelError):
-        pulse_compose(g, f)
+        MODEL.compose(g, f)
 
 
 def test_pulse_action_on_objects():
     obj = PulseObject(((0, "q1"), (5, "q2")))
-    assert pulse_action(7, obj).entries == ((7, "q1"), (12, "q2"))
+    assert MODEL.act_obj(7, obj).entries == ((7, "q1"), (12, "q2"))
 
 
 def test_pulse_action_zero_is_identity():
     f = mor([(-3, "q1")], [(2, "q1")], {"q1": (1, 2, 3, 4, 5)})
-    assert pulse_action(0, f) == f
-    assert pulse_action(0, f.src) == f.src
+    assert MODEL.act_mor(0, f) == f
+    assert MODEL.act_obj(0, f.src) == f.src
 
 
 def test_pulse_action_preserves_composition():
@@ -78,8 +79,8 @@ def test_pulse_action_preserves_composition():
         a, b, c = sorted(rng.randint(-30, 30) for _ in range(3))
         f = mor([(a, "q1")], [(b, "q1")], {"q1": tuple(rng.randrange(5) for _ in range(b - a))})
         g = mor([(b, "q1")], [(c, "q1")], {"q1": tuple(rng.randrange(5) for _ in range(c - b))})
-        lhs = pulse_action(d, pulse_compose(g, f))
-        rhs = pulse_compose(pulse_action(d, g), pulse_action(d, f))
+        lhs = MODEL.act_mor(d, MODEL.compose(g, f))
+        rhs = MODEL.compose(MODEL.act_mor(d, g), MODEL.act_mor(d, f))
         assert lhs == rhs
 
 
