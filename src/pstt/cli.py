@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user error (parse/type/validation failure),
-2 internal invariant breach.
+Exit codes: 0 success, 1 user error (parse/type/validation failure, or
+an input too large for the available stack or memory), 2 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -287,6 +288,9 @@ def run(argv: list[str], out=None, err=None) -> int:
     except _Fail as exc:
         print(_error_text(str(exc)), file=err)
         return exc.code
+    except (RecursionError, MemoryError) as exc:
+        print(_error_text(f"resource limit exceeded: {type(exc).__name__}"), file=err)
+        return 1
     except Exception as exc:  # noqa: BLE001 - exit-code contract
         print(_error_text(f"internal error: {exc!r}"), file=err)
         return 2

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .chip import ChipSpec
 from .surface import print_term
@@ -33,6 +33,7 @@ from .syntax import (
     LetPair,
     LetStar,
     Pair,
+    Place,
     Star,
     Tensor,
     TermExpr,
@@ -40,12 +41,18 @@ from .syntax import (
     Unit,
     Var,
     alpha_eq,
+    binders,
+    children,
     free_vars,
     fresh_name,
     freshen_binders,
+    plug,
+    positions,
+    rebuild,
     subst_parallel,
     substitute,
 )
+from .typecheck import TypingError, synthesize
 
 DEFAULT_BUDGET = 10_000
 
@@ -86,64 +93,25 @@ class NormalForm:
 
 # --------------------------------------------------------------- let spine
 
-
-def _let_kind(t: TermExpr) -> str | None:
-    if isinstance(t, LetStar):
-        return "unit"
-    if isinstance(t, LetPair):
-        return "pair"
-    if isinstance(t, LetBox):
-        return "box"
-    return None
-
-
-def _let_parts(t: TermExpr) -> tuple[tuple[str, ...], TermExpr, TermExpr]:
-    """(binders, scrutinee, body) of a let node."""
-    match t:
-        case LetStar(s, b):
-            return (), s, b
-        case LetPair(x, y, s, b):
-            return (x, y), s, b
-        case LetBox(_, x, s, b):
-            return (x,), s, b
-    raise AssertionError(t)
-
-
-def _rebuild_let(t: TermExpr, scrutinee: TermExpr, body: TermExpr) -> TermExpr:
-    match t:
-        case LetStar():
-            return LetStar(scrutinee, body)
-        case LetPair(x, y, _, _):
-            return LetPair(x, y, scrutinee, body)
-        case LetBox(d, x, _, _):
-            return LetBox(d, x, scrutinee, body)
-    raise AssertionError(t)
+_KIND = {LetStar: "unit", LetPair: "pair", LetBox: "box"}
 
 
 def _rename_binders(t: TermExpr, avoid: set[str]) -> TermExpr:
     """Alpha-rename a let node's binders away from ``avoid``."""
-    binders, s, b = _let_parts(t)
-    clash = [x for x in binders if x in avoid]
-    if not clash:
+    names = binders(t)
+    if avoid.isdisjoint(names):
         return t
-    taken = set(avoid) | set(free_vars(b)) | set(binders)
+    s, b = children(t)
+    taken = set(avoid) | set(free_vars(b)) | set(names)
     ren: dict[str, TermExpr] = {}
-    new = list(binders)
-    for i, x in enumerate(binders):
+    new = list(names)
+    for i, x in enumerate(names):
         if x in avoid:
             nx = fresh_name(x, taken)
             taken.add(nx)
             ren[x] = Var(nx)
             new[i] = nx
-    b2 = subst_parallel(b, ren)
-    match t:
-        case LetStar():
-            return LetStar(s, b2)
-        case LetPair(_, _, _, _):
-            return LetPair(new[0], new[1], s, b2)
-        case LetBox(d, _, _, _):
-            return LetBox(d, new[0], s, b2)
-    raise AssertionError(t)
+    return rebuild(t, (s, subst_parallel(b, ren)), tuple(new))
 
 
 # ------------------------------------------------------------ single steps
@@ -169,64 +137,64 @@ def _eta(t: TermExpr) -> tuple[str, TermExpr] | None:
     return None
 
 
+def _lift(inner: TermExpr, avoid: set[str], outer: TermExpr, i: int, pos: str) -> tuple[str, TermExpr]:
+    """Hoist the let ``inner``, child ``i`` of ``outer``, above ``outer``."""
+    inner = _rename_binders(inner, avoid)
+    s, b = children(inner)
+    kids = list(children(outer))
+    kids[i] = b
+    return f"hoist-{_KIND[type(inner)]}-from-{pos}", rebuild(inner, (s, rebuild(outer, kids)))
+
+
 def _hoist(t: TermExpr) -> tuple[str, TermExpr] | None:
     match t:
-        case Pair(inner, r) if _let_kind(inner):
-            inner = _rename_binders(inner, set(free_vars(r)))
-            _, s, b = _let_parts(inner)
-            return f"hoist-{_let_kind(inner)}-from-pair-left", _rebuild_let(inner, s, Pair(b, r))
-        case Pair(l, inner) if _let_kind(inner):
-            inner = _rename_binders(inner, set(free_vars(l)))
-            _, s, b = _let_parts(inner)
-            return f"hoist-{_let_kind(inner)}-from-pair-right", _rebuild_let(inner, s, Pair(l, b))
-        case GateApp(g, args):
+        case Pair(inner, r) if type(inner) in _KIND:
+            return _lift(inner, set(free_vars(r)), t, 0, "pair-left")
+        case Pair(l, inner) if type(inner) in _KIND:
+            return _lift(inner, set(free_vars(l)), t, 1, "pair-right")
+        case GateApp(_, args):
             for i, a in enumerate(args):
-                if _let_kind(a):
+                if type(a) in _KIND:
                     others: set[str] = set()
                     for j, other in enumerate(args):
                         if j != i:
                             others.update(free_vars(other))
-                    a = _rename_binders(a, others)
-                    _, s, b = _let_parts(a)
-                    new_args = args[:i] + (b,) + args[i + 1 :]
-                    return f"hoist-{_let_kind(a)}-from-gate", _rebuild_let(a, s, GateApp(g, new_args))
-        case BoxIntro(d, inner) if _let_kind(inner):
-            _, s, b = _let_parts(inner)
-            return f"hoist-{_let_kind(inner)}-from-box", _rebuild_let(inner, s, BoxIntro(d, b))
-        case LetStar(inner, u) | LetPair(_, _, inner, u) | LetBox(_, _, inner, u) if _let_kind(inner):
-            outer_kind = _let_kind(t)
-            inner = _rename_binders(inner, set(free_vars(u)))
-            _, s1, b1 = _let_parts(inner)
-            rebuilt_outer = _rebuild_let(t, b1, u)
-            return (
-                f"hoist-{_let_kind(inner)}-from-{outer_kind}-scrutinee",
-                _rebuild_let(inner, s1, rebuilt_outer),
-            )
+                    return _lift(a, others, t, i, "gate")
+        case BoxIntro(_, inner) if type(inner) in _KIND:
+            return _lift(inner, set(), t, 0, "box")
+        case LetStar(inner, u) | LetPair(_, _, inner, u) | LetBox(_, _, inner, u) if type(inner) in _KIND:
+            return _lift(inner, set(free_vars(u)), t, 0, f"{_KIND[type(t)]}-scrutinee")
     return None
 
 
 def swap_adjacent(t: TermExpr) -> TermExpr | None:
     """Swap a let with the let directly under it; None if they depend."""
-    k1 = _let_kind(t)
-    if k1 is None:
+    if type(t) not in _KIND:
         return None
-    binders1, s1, body = _let_parts(t)
-    if _let_kind(body) is None:
+    s1, body = children(t)
+    if type(body) not in _KIND:
         return None
-    if set(binders1) & set(free_vars(_let_parts(body)[1])):
+    if not set(free_vars(body.scrutinee)).isdisjoint(binders(t)):
         return None  # inner scrutinee uses an outer binder
     inner = _rename_binders(body, set(free_vars(s1)))
-    _, s2, u = _let_parts(inner)
-    return _rebuild_let(inner, s2, _rebuild_let(t, s1, u))
+    s2, u = children(inner)
+    return rebuild(inner, (s2, rebuild(t, (s1, u))))
 
 
 def _spine(t: TermExpr) -> tuple[list[TermExpr], TermExpr]:
     """Maximal chain of let nodes from the root, plus the core body."""
     lets: list[TermExpr] = []
-    while _let_kind(t):
+    while type(t) in _KIND:
         lets.append(t)
-        t = _let_parts(t)[2]
+        t = t.body
     return lets, t
+
+
+def _wrap(lets: list[TermExpr], core: TermExpr) -> TermExpr:
+    """``core`` under the given spine lets, the first outermost."""
+    for node in reversed(lets):
+        core = rebuild(node, (node.scrutinee, core))
+    return core
 
 
 def _spine_keys(lets: list[TermExpr]) -> list[str]:
@@ -238,32 +206,31 @@ def _spine_keys(lets: list[TermExpr]) -> list[str]:
     """
     owner: dict[str, tuple[int, int]] = {}
     for i, node in enumerate(lets):
-        for slot, b in enumerate(_let_parts(node)[0]):
+        for slot, b in enumerate(binders(node)):
             owner[b] = (i, slot)
     keys: dict[int, str] = {}
-
-    def key_of(i: int) -> str:
-        if i in keys:
-            return keys[i]
-        node = lets[i]
-        _, scrut, _ = _let_parts(node)
-        ren = {
-            b: Var(f"<{key_of(owner[b][0])}#{owner[b][1]}>")
-            for b in free_vars(scrut)
-            if b in owner
-        }
-        rendered = print_term(subst_parallel(scrut, ren)) if ren else print_term(scrut)
-        match node:
-            case LetStar():
-                prefix = "unit:"
-            case LetPair(_, _, _, _):
-                prefix = "pair:"
-            case LetBox(d, _, _, _):
-                prefix = f"box[{d}]:"
-        keys[i] = prefix + rendered
-        return keys[i]
-
-    return [key_of(i) for i in range(len(lets))]
+    for first in range(len(lets)):
+        path = [first]  # a let, then the lets its key waits for
+        while path:
+            i = path[-1]
+            if i in keys:
+                path.pop()
+                continue
+            scrut = lets[i].scrutinee
+            used = [b for b in free_vars(scrut) if b in owner]
+            wait = next((owner[b][0] for b in used if owner[b][0] not in keys), None)
+            if wait is not None:
+                if len(path) > len(lets):
+                    raise AssertionError("spine keys depend on each other")
+                path.append(wait)
+                continue
+            ren = {b: Var(f"<{keys[owner[b][0]]}#{owner[b][1]}>") for b in used}
+            rendered = print_term(subst_parallel(scrut, ren)) if ren else print_term(scrut)
+            node = lets[i]
+            prefix = f"box[{node.grade}]:" if type(node) is LetBox else f"{_KIND[type(node)]}:"
+            keys[i] = prefix + rendered
+            path.pop()
+    return [keys[i] for i in range(len(lets))]
 
 
 def _sorted_spine_order(lets: list[TermExpr]) -> list[int]:
@@ -271,11 +238,11 @@ def _sorted_spine_order(lets: list[TermExpr]) -> list[int]:
     n = len(lets)
     deps: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
-        binders_i = set(_let_parts(lets[i])[0])
+        binders_i = binders(lets[i])
         if not binders_i:
             continue
         for j in range(i + 1, n):
-            if binders_i & set(free_vars(_let_parts(lets[j])[1])):
+            if not set(free_vars(lets[j].scrutinee)).isdisjoint(binders_i):
                 deps[j].add(i)
     emitted: set[int] = set()
     order: list[int] = []
@@ -286,19 +253,6 @@ def _sorted_spine_order(lets: list[TermExpr]) -> list[int]:
         order.append(best)
         emitted.add(best)
     return order
-
-
-def _swap_spine_at(t: TermExpr, index: int) -> TermExpr | None:
-    """Swap spine positions ``index`` and ``index + 1``."""
-
-    def rebuild(t: TermExpr, depth: int) -> TermExpr | None:
-        if depth == index:
-            return swap_adjacent(t)
-        _, s, b = _let_parts(t)
-        inner = rebuild(b, depth + 1)
-        return None if inner is None else _rebuild_let(t, s, inner)
-
-    return rebuild(t, 0)
 
 
 def _sort_step(t: TermExpr) -> tuple[str, TermExpr] | None:
@@ -312,12 +266,11 @@ def _sort_step(t: TermExpr) -> tuple[str, TermExpr] | None:
     # First slot whose canonical occupant differs; bubble it up one place.
     pos = next(i for i, want in enumerate(target) if want != i)
     want = target[pos]
-    out = _swap_spine_at(t, want - 1)
-    if out is None:
+    swapped = swap_adjacent(lets[want - 1])
+    if swapped is None:
         return None
-    k1 = _let_kind(lets[want - 1])
-    k2 = _let_kind(lets[want])
-    return f"swap-{k1}-{k2}", out
+    out = _wrap(lets[: want - 1], swapped)
+    return f"swap-{_KIND[type(lets[want - 1])]}-{_KIND[type(lets[want])]}", out
 
 
 def _count_pattern(t: TermExpr, pattern: TermExpr, names: set[str]) -> tuple[int, int]:
@@ -326,54 +279,20 @@ def _count_pattern(t: TermExpr, pattern: TermExpr, names: set[str]) -> tuple[int
     Rebinding one of the names counts as a stray so the caller backs off;
     normalize works on freshened terms where this cannot happen.
     """
-    if t == pattern:
-        return 1, 0
-    match t:
-        case Var(n):
-            return 0, 1 if n in names else 0
-        case Star():
-            return 0, 0
-        case LetStar(s, b) | LetPair(_, _, s, b) | LetBox(_, _, s, b):
-            binders = _let_parts(t)[0]
-            shadow = 2 if set(binders) & names else 0
-            ph, sh = _count_pattern(s, pattern, names)
-            ph2, sh2 = _count_pattern(b, pattern, names)
-            return ph + ph2, sh + sh2 + shadow
-        case GateApp(_, args):
-            ph = sh = 0
-            for a in args:
-                p2, s2 = _count_pattern(a, pattern, names)
-                ph += p2
-                sh += s2
-            return ph, sh
-        case Pair(l, r):
-            ph, sh = _count_pattern(l, pattern, names)
-            ph2, sh2 = _count_pattern(r, pattern, names)
-            return ph + ph2, sh + sh2
-        case BoxIntro(_, b):
-            return _count_pattern(b, pattern, names)
-    raise AssertionError(t)
-
-
-def _replace_pattern(t: TermExpr, pattern: TermExpr, replacement: TermExpr) -> TermExpr:
-    if t == pattern:
-        return replacement
-    match t:
-        case Var() | Star():
-            return t
-        case LetStar(s, b):
-            return LetStar(_replace_pattern(s, pattern, replacement), _replace_pattern(b, pattern, replacement))
-        case LetPair(x, y, s, b):
-            return LetPair(x, y, _replace_pattern(s, pattern, replacement), _replace_pattern(b, pattern, replacement))
-        case LetBox(d, x, s, b):
-            return LetBox(d, x, _replace_pattern(s, pattern, replacement), _replace_pattern(b, pattern, replacement))
-        case GateApp(g, args):
-            return GateApp(g, tuple(_replace_pattern(a, pattern, replacement) for a in args))
-        case Pair(l, r):
-            return Pair(_replace_pattern(l, pattern, replacement), _replace_pattern(r, pattern, replacement))
-        case BoxIntro(d, b):
-            return BoxIntro(d, _replace_pattern(b, pattern, replacement))
-    raise AssertionError(t)
+    hits = strays = 0
+    cls = type(pattern)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is cls and node == pattern:
+            hits += 1
+        elif type(node) is Var:
+            strays += node.name in names
+        else:
+            if not names.isdisjoint(binders(node)):
+                strays += 2
+            stack.extend(children(node))
+    return hits, strays
 
 
 def _eta_spine(
@@ -398,8 +317,8 @@ def _eta_spine(
     for i, node in enumerate(lets):
         if not isinstance(node, (LetPair, LetBox)):
             continue
-        binders, scrut, _ = _let_parts(node)
-        names = set(binders)
+        names = set(binders(node))
+        scrut = node.scrutinee
 
         # Deep exact repack over the remainder of the term.
         match node:
@@ -409,17 +328,13 @@ def _eta_spine(
             case LetBox(d, x, _, _):
                 pattern = BoxIntro(d, Var(x))
                 rule = "eta-box"
-        remainder: TermExpr = core
-        for j in range(len(lets) - 1, i, -1):
-            keep = lets[j]
-            remainder = _rebuild_let(keep, _let_parts(keep)[1], remainder)
+        remainder = node.body
         hits, strays = _count_pattern(remainder, pattern, names)
         if hits == 1 and strays == 0:
-            new = _replace_pattern(remainder, pattern, scrut)
-            for j in range(i - 1, -1, -1):
-                keep = lets[j]
-                new = _rebuild_let(keep, _let_parts(keep)[1], new)
-            return rule, new
+            # The pattern holds no subterm like itself, so its one hit is
+            # also the first in pre-order.
+            spot = next(up for sub, up in positions(remainder) if sub == pattern)
+            return rule, _wrap(lets[:i], plug(scrut, spot))
 
         # Parked repack at the core position.
         if recheck is None:
@@ -428,7 +343,7 @@ def _eta_spine(
         blocked = False
         for j in range(i + 1, len(lets)):
             inner = lets[j]
-            _, sc, _ = _let_parts(inner)
+            sc = inner.scrutinee
             if not names & set(free_vars(sc)):
                 continue
             if (
@@ -459,54 +374,10 @@ def _eta_spine(
             case _:
                 continue
         drop = {i} | set(parked.values())
-        new = scrut
-        for j in range(len(lets) - 1, -1, -1):
-            if j in drop:
-                continue
-            keep = lets[j]
-            new = _rebuild_let(keep, _let_parts(keep)[1], new)
+        new = _wrap([keep for j, keep in enumerate(lets) if j not in drop], scrut)
         if recheck(new):
             return rule, new
     return None
-
-
-def _rewrite_anywhere(
-    t: TermExpr, local: Callable[[TermExpr], tuple[str, TermExpr] | None]
-) -> Iterator[tuple[str, TermExpr]]:
-    """All single applications of ``local``, outermost first."""
-    hit = local(t)
-    if hit is not None:
-        yield hit[0], hit[1]
-    match t:
-        case Var() | Star():
-            return
-        case LetStar(s, b):
-            for r, s2 in _rewrite_anywhere(s, local):
-                yield r, LetStar(s2, b)
-            for r, b2 in _rewrite_anywhere(b, local):
-                yield r, LetStar(s, b2)
-        case GateApp(g, args):
-            for i, a in enumerate(args):
-                for r, a2 in _rewrite_anywhere(a, local):
-                    yield r, GateApp(g, args[:i] + (a2,) + args[i + 1 :])
-        case Pair(l, rgt):
-            for r, l2 in _rewrite_anywhere(l, local):
-                yield r, Pair(l2, rgt)
-            for r, r2 in _rewrite_anywhere(rgt, local):
-                yield r, Pair(l, r2)
-        case LetPair(x, y, s, b):
-            for r, s2 in _rewrite_anywhere(s, local):
-                yield r, LetPair(x, y, s2, b)
-            for r, b2 in _rewrite_anywhere(b, local):
-                yield r, LetPair(x, y, s, b2)
-        case BoxIntro(d, b):
-            for r, b2 in _rewrite_anywhere(b, local):
-                yield r, BoxIntro(d, b2)
-        case LetBox(d, x, s, b):
-            for r, s2 in _rewrite_anywhere(s, local):
-                yield r, LetBox(d, x, s2, b)
-            for r, b2 in _rewrite_anywhere(b, local):
-                yield r, LetBox(d, x, s, b2)
 
 
 # -------------------------------------------------- unit-variable expansion
@@ -519,95 +390,41 @@ def _expand_unit_var(
 
     The variable axiom types every variable at grade 0 in its own node, so
     this instance of the unit eta rule is valid in any enclosing judgement.
+    A let's binders take their types from the checker's synthesis of the
+    scrutinee, once the scrutinee holds no candidate.
     """
-
-    def type_of(t: TermExpr, env: dict[str, TypeExpr]) -> TypeExpr | None:
-        match t:
-            case Var(name):
-                return env.get(name)
-            case Star():
-                return Unit()
-            case LetStar(_, b):
-                return type_of(b, env)
-            case GateApp(g, _):
-                decl = chip.find_gate(g)
-                if decl is None:
-                    return None
-                from .syntax import Qubit, tensor_of
-
-                return tensor_of([Qubit(q) for q in decl.qubits])
-            case Pair(l, r):
-                lt, rt = type_of(l, env), type_of(r, env)
-                return Tensor(lt, rt) if lt is not None and rt is not None else None
-            case LetPair(x, y, s, b):
-                sty = type_of(s, env)
-                if not isinstance(sty, Tensor):
-                    return None
-                return type_of(b, {**env, x: sty.left, y: sty.right})
-            case BoxIntro(d, b):
-                bt = type_of(b, env)
-                return Box(d, bt) if bt is not None else None
-            case LetBox(_, x, s, b):
-                sty = type_of(s, env)
-                if not isinstance(sty, Box):
-                    return None
-                return type_of(b, {**env, x: sty.body})
-        return None
-
-    def go(t: TermExpr, env: dict[str, TypeExpr], expandable: bool) -> TermExpr | None:
-        match t:
-            case Var(name):
-                if expandable and env.get(name) == Unit():
-                    return LetStar(t, Star())
-                return None
-            case Star():
-                return None
-            case LetStar(s, b):
-                # A variable directly in scrutinee position is already parked.
-                if not isinstance(s, Var):
-                    s2 = go(s, env, True)
-                    if s2 is not None:
-                        return LetStar(s2, b)
-                b2 = go(b, env, True)
-                return LetStar(s, b2) if b2 is not None else None
-            case GateApp(g, args):
-                for i, a in enumerate(args):
-                    a2 = go(a, env, True)
-                    if a2 is not None:
-                        return GateApp(g, args[:i] + (a2,) + args[i + 1 :])
-                return None
-            case Pair(l, r):
-                l2 = go(l, env, True)
-                if l2 is not None:
-                    return Pair(l2, r)
-                r2 = go(r, env, True)
-                return Pair(l, r2) if r2 is not None else None
-            case LetPair(x, y, s, b):
-                s2 = go(s, env, True)
-                if s2 is not None:
-                    return LetPair(x, y, s2, b)
-                sty = type_of(s, env)
-                benv = (
-                    {**env, x: sty.left, y: sty.right}
-                    if isinstance(sty, Tensor)
-                    else env
-                )
-                b2 = go(b, benv, True)
-                return LetPair(x, y, s, b2) if b2 is not None else None
-            case BoxIntro(d, b):
-                b2 = go(b, env, True)
-                return BoxIntro(d, b2) if b2 is not None else None
-            case LetBox(d, x, s, b):
-                s2 = go(s, env, True)
-                if s2 is not None:
-                    return LetBox(d, x, s2, b)
-                sty = type_of(s, env)
-                benv = {**env, x: sty.body} if isinstance(sty, Box) else env
-                b2 = go(b, benv, True)
-                return LetBox(d, x, s, b2) if b2 is not None else None
-        raise AssertionError(t)
-
-    return go(t, env, True)
+    # Entries are (subterm, env, place, False), or (let, env, place, True)
+    # for a let whose body waits for the types of the let's binders.
+    stack: list[tuple[TermExpr, dict[str, TypeExpr], Place | None, bool]] = [(t, env, None, False)]
+    while stack:
+        node, env, up, is_body = stack.pop()
+        if is_body:  # node is the let; bind its binders, then visit its body
+            try:
+                sty = synthesize(node.scrutinee, env, chip).result_type
+            except TypingError:
+                sty = None
+            if type(node) is LetPair and isinstance(sty, Tensor):
+                env = {**env, node.x: sty.left, node.y: sty.right}
+            elif type(node) is LetBox and isinstance(sty, Box):
+                env = {**env, node.x: sty.body}
+            stack.append((node.body, env, (node, 1, up), False))
+            continue
+        cls = type(node)
+        if cls is Var:
+            if env.get(node.name) == Unit():
+                return plug(LetStar(node, Star()), up)
+            continue
+        kids = children(node)
+        last = len(kids) - 1
+        if binders(node):
+            stack.append((node, env, up, True))
+            last -= 1
+        for i in range(last, -1, -1):
+            # A variable directly in scrutinee position is already parked.
+            if i == 0 and cls is LetStar and type(kids[0]) is Var:
+                continue
+            stack.append((kids[i], env, (node, i, up), False))
+    return None
 
 
 # ------------------------------------------------------------- normalize
@@ -619,10 +436,13 @@ def _find_step(
     chip: ChipSpec | None,
     recheck: Callable[[TermExpr], bool] | None,
 ) -> tuple[str, TermExpr] | None:
-    for rule, out in _rewrite_anywhere(t, _beta):
-        return rule, out
-    for rule, out in _rewrite_anywhere(t, _eta):
-        return rule, out
+    """The next rewrite: the outermost-leftmost hit of the first rule family that has one."""
+    spots = positions(t)
+    for local in (_beta, _eta):
+        for node, up in spots:
+            hit = local(node)
+            if hit is not None:
+                return hit[0], plug(hit[1], up)
     hit = _eta_spine(t, recheck)
     if hit is not None:
         return hit
@@ -630,8 +450,10 @@ def _find_step(
         expanded = _expand_unit_var(t, env, chip)
         if expanded is not None:
             return "eta-unit", expanded
-    for rule, out in _rewrite_anywhere(t, _hoist):
-        return rule, out
+    for node, up in spots:
+        hit = _hoist(node)
+        if hit is not None:
+            return hit[0], plug(hit[1], up)
     return _sort_step(t)
 
 

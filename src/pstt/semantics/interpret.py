@@ -215,12 +215,20 @@ def _interp(d: Derivation, m: Model) -> Any:
 
 
 def interpret(j: Judgement, evidence: Derivation, m: Model) -> Any:
-    """Interpret the judgement as a morphism [[ctx]] -> [[type]]."""
+    """Interpret the judgement as a morphism [[ctx]] -> [[type]].
+
+    Raises ModelError when the result is not such a morphism, as for a
+    derivation whose grades disagree with its own context.
+    """
     mor = _interp(evidence, m)
     declared = context_shape(m, j.ctx)
     derived = context_shape(m, evidence.ctx)
     if not shapes_equal(declared, derived):
         mor = m.compose(mor, structural(m, declared, derived))
+    if not m.obj_eq(m.dom(mor), shape_obj(m, declared)):
+        raise ModelError(f"interpretation starts at {m.dom(mor)}, not at the context's object")
+    if not m.obj_eq(m.cod(mor), m.type_obj(j.type)):
+        raise ModelError(f"interpretation ends at {m.cod(mor)}, not at the type's object")
     return mor
 
 

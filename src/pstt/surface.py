@@ -29,6 +29,7 @@ from .syntax import (
     CtxEntry,
     GateApp,
     Judgement,
+    LETS,
     LetBox,
     LetPair,
     LetStar,
@@ -236,24 +237,96 @@ class _Parser:
     # terms ------------------------------------------------------------
 
     def parse_term(self) -> TermExpr:
-        if self.at_keyword("let"):
-            return self.parse_let()
-        if self.at_keyword("box"):
-            self.next()
-            self.expect_punct("[")
-            grade = self.expect_int()
-            self.expect_punct("]")
-            return BoxIntro(grade, self.parse_term())
-        return self.parse_atom()
+        """A term, parsed with an explicit stack of unfinished constructs.
 
-    def parse_let(self) -> TermExpr:
+        Each frame is an unfinished prefix (``box[d]``, a let before or
+        after ``in``), a gate's argument list or an open parenthesis; a
+        finished term is handed to the innermost frame.
+        """
+        frames: list[list] = []
+        while True:
+            # Read prefixes until an atom completes a term.
+            tok = self.peek()
+            if tok.kind == "ident" and tok.text == "let":
+                frames.append(self.parse_let_head())
+                continue
+            if tok.kind == "ident" and tok.text == "box":
+                self.next()
+                self.expect_punct("[")
+                grade = self.expect_int()
+                self.expect_punct("]")
+                frames.append(["box", grade])
+                continue
+            if tok.kind == "punct" and tok.text == "*":
+                self.next()
+                term: TermExpr = Star()
+            elif tok.kind == "ident" and tok.text not in _KEYWORDS:
+                self.next()
+                name = tok.text
+                if self.at_punct("["):
+                    # delay-style gate reference: name[qubit,int]
+                    self.next()
+                    q = self.expect_ident("qubit").text
+                    self.expect_punct(",")
+                    d = self.expect_int()
+                    self.expect_punct("]")
+                    name = f"{name}[{q},{d}]"
+                    self.expect_punct("(")
+                    frames.append(["args", name, []])
+                    continue
+                if self.at_punct("("):
+                    self.next()
+                    frames.append(["args", name, []])
+                    continue
+                term = Var(name)
+            elif tok.kind == "punct" and tok.text == "(":
+                self.next()
+                frames.append(["paren"])
+                continue
+            else:
+                raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+
+            # Hand the finished term outward until a frame needs another one.
+            while frames:
+                frame = frames[-1]
+                kind = frame[0]
+                if kind == "args":
+                    frame[2].append(term)
+                    if self.at_punct(","):
+                        self.next()
+                        break
+                    self.expect_punct(")")
+                    term = GateApp(frame[1], tuple(frame[2]))
+                elif kind == "box":
+                    term = BoxIntro(frame[1], term)
+                elif kind == "let":
+                    self.expect_keyword("in")
+                    frame[0] = "in"
+                    frame.append(term)
+                    break
+                elif kind == "in":
+                    term = frame[1](frame[2], term)
+                elif kind == "paren":
+                    if self.at_punct(","):
+                        self.next()
+                        frame[0] = "pair"
+                        frame.append(term)
+                        break
+                    self.expect_punct(")")
+                elif kind == "pair":
+                    self.expect_punct(")")
+                    term = Pair(frame[1], term)
+                frames.pop()
+            else:
+                return term
+
+    def parse_let_head(self) -> list:
+        """``let ... =``; the frame's builder takes (scrutinee, body)."""
         self.expect_keyword("let")
         if self.at_punct("*"):
             self.next()
             self.expect_punct("=")
-            scrutinee = self.parse_term()
-            self.expect_keyword("in")
-            return LetStar(scrutinee, self.parse_term())
+            return ["let", LetStar]
         if self.at_keyword("box"):
             self.next()
             self.expect_punct("[")
@@ -261,9 +334,7 @@ class _Parser:
             self.expect_punct("]")
             x = self.expect_ident("binder").text
             self.expect_punct("=")
-            scrutinee = self.parse_term()
-            self.expect_keyword("in")
-            return LetBox(grade, x, scrutinee, self.parse_term())
+            return ["let", lambda s, b: LetBox(grade, x, s, b)]
         if self.at_punct("("):
             self.next()
             x = self.expect_ident("binder").text
@@ -273,54 +344,8 @@ class _Parser:
             if x == y:
                 raise self.fail(f"pair binders must be distinct, got {x!r} twice")
             self.expect_punct("=")
-            scrutinee = self.parse_term()
-            self.expect_keyword("in")
-            return LetPair(x, y, scrutinee, self.parse_term())
+            return ["let", lambda s, b: LetPair(x, y, s, b)]
         raise self.fail("expected '*', '(x, y)' or 'box' after 'let'")
-
-    def parse_atom(self) -> TermExpr:
-        tok = self.peek()
-        if self.at_punct("*"):
-            self.next()
-            return Star()
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
-            name = self.next().text
-            if self.at_punct("["):
-                # delay-style gate reference: name[qubit,int]
-                self.next()
-                q = self.expect_ident("qubit").text
-                self.expect_punct(",")
-                d = self.expect_int()
-                self.expect_punct("]")
-                gate_name = f"{name}[{q},{d}]"
-                self.expect_punct("(")
-                args = self.parse_args()
-                return GateApp(gate_name, args)
-            if self.at_punct("("):
-                self.next()
-                args = self.parse_args()
-                return GateApp(name, args)
-            return Var(name)
-        if self.at_punct("("):
-            self.next()
-            first = self.parse_term()
-            if self.at_punct(","):
-                self.next()
-                second = self.parse_term()
-                self.expect_punct(")")
-                return Pair(first, second)
-            self.expect_punct(")")
-            return first
-        raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-
-    def parse_args(self) -> tuple[TermExpr, ...]:
-        # opening '(' already consumed
-        args = [self.parse_term()]
-        while self.at_punct(","):
-            self.next()
-            args.append(self.parse_term())
-        self.expect_punct(")")
-        return tuple(args)
 
     # declarations ------------------------------------------------------
 
@@ -407,32 +432,48 @@ def print_type(ty: TypeExpr) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
+def _parts(t: TermExpr) -> tuple | list:
+    """The text of ``t`` as strings and subterms, last first (stack order)."""
+    cls = type(t)
+    if cls is Star:
+        return ("*",)
+    if cls is GateApp:
+        parts: list = [")"]
+        for a in reversed(t.args[1:]):
+            parts += (a, ", ")
+        parts += t.args[:1]
+        parts.append(t.gate + "(")
+        return parts
+    if cls is Pair:
+        return (")", t.right, ", ", t.left, "(")
+    if cls is BoxIntro:
+        return (t.body, f"box[{t.grade}] ")
+    if cls is LetStar:
+        head = "let * = "
+    elif cls is LetPair:
+        head = f"let ({t.x}, {t.y}) = "
+    elif cls is LetBox:
+        head = f"let box[{t.grade}] {t.x} = "
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    if isinstance(t.scrutinee, LETS):
+        return (t.body, ") in ", t.scrutinee, head + "(")
+    return (t.body, " in ", t.scrutinee, head)
+
+
 def print_term(t: TermExpr) -> str:
-    match t:
-        case Var(name):
-            return name
-        case Star():
-            return "*"
-        case LetStar(s, b):
-            return f"let * = {_scrutinee(s)} in {print_term(b)}"
-        case GateApp(g, args):
-            return f"{g}({', '.join(print_term(a) for a in args)})"
-        case Pair(l, r):
-            return f"({print_term(l)}, {print_term(r)})"
-        case LetPair(x, y, s, b):
-            return f"let ({x}, {y}) = {_scrutinee(s)} in {print_term(b)}"
-        case BoxIntro(d, b):
-            return f"box[{d}] {print_term(b)}"
-        case LetBox(d, x, s, b):
-            return f"let box[{d}] {x} = {_scrutinee(s)} in {print_term(b)}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _scrutinee(s: TermExpr) -> str:
-    text = print_term(s)
-    if isinstance(s, (LetStar, LetPair, LetBox)):
-        return f"({text})"
-    return text
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+        elif cls is Var:
+            out.append(item.name)
+        else:
+            stack += _parts(item)
+    return "".join(out)
 
 
 def print_context(ctx: Context) -> str:

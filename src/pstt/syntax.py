@@ -165,7 +165,94 @@ class Judgement:
     type: TypeExpr
 
 
+# --------------------------------------------------------- term structure
+#
+# The one place that knows the shape of the term constructors: which fields
+# are subterms, and which names a let binds over its last subterm (its
+# body).  Every term walk goes through this table with an explicit stack,
+# so no walk is limited by Python's recursion depth.
+
+_CHILDREN = {
+    Var: lambda t: (),
+    Star: lambda t: (),
+    LetStar: lambda t: (t.scrutinee, t.body),
+    GateApp: lambda t: t.args,
+    Pair: lambda t: (t.left, t.right),
+    LetPair: lambda t: (t.scrutinee, t.body),
+    BoxIntro: lambda t: (t.body,),
+    LetBox: lambda t: (t.scrutinee, t.body),
+}
+
+_REBUILD = {
+    Var: lambda t, kids, names: t,
+    Star: lambda t, kids, names: t,
+    LetStar: lambda t, kids, names: LetStar(kids[0], kids[1]),
+    GateApp: lambda t, kids, names: GateApp(t.gate, tuple(kids)),
+    Pair: lambda t, kids, names: Pair(kids[0], kids[1]),
+    LetPair: lambda t, kids, names: LetPair(*(names or (t.x, t.y)), kids[0], kids[1]),
+    BoxIntro: lambda t, kids, names: BoxIntro(t.grade, kids[0]),
+    LetBox: lambda t, kids, names: LetBox(t.grade, *(names or (t.x,)), kids[0], kids[1]),
+}
+
+LETS = (LetStar, LetPair, LetBox)
+
+
+def children(t: TermExpr) -> tuple[TermExpr, ...]:
+    """Immediate subterms, left to right; a let's are (scrutinee, body)."""
+    try:
+        return _CHILDREN[type(t)](t)
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
+
+
+def binders(t: TermExpr) -> tuple[str, ...]:
+    """Names ``t`` binds over its last child (a let's body)."""
+    cls = type(t)
+    if cls is LetPair:
+        return (t.x, t.y)
+    if cls is LetBox:
+        return (t.x,)
+    return ()
+
+
+def rebuild(
+    t: TermExpr, kids: list[TermExpr] | tuple[TermExpr, ...], names: tuple[str, ...] | None = None
+) -> TermExpr:
+    """``t`` with its children replaced, and its binders too if ``names`` is given."""
+    return _REBUILD[type(t)](t, kids, names)
+
+
+Place = tuple  # (parent, child index, parent's place), or None at the root
+
+
+def positions(t: TermExpr) -> list[tuple[TermExpr, Place | None]]:
+    """Every subterm of ``t`` in pre-order, each with its place in ``t``."""
+    out: list[tuple[TermExpr, Place | None]] = []
+    stack: list[tuple[TermExpr, Place | None]] = [(t, None)]
+    while stack:
+        entry = stack.pop()
+        out.append(entry)
+        node, up = entry
+        kids = _CHILDREN[type(node)](node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (node, i, up)))
+    return out
+
+
+def plug(new: TermExpr, up: Place | None) -> TermExpr:
+    """The whole term with ``new`` put at the place ``up``."""
+    while up is not None:
+        parent, i, up = up
+        kids = list(_CHILDREN[type(parent)](parent))
+        kids[i] = new
+        new = _REBUILD[type(parent)](parent, kids, None)
+    return new
+
+
 # ----------------------------------------------------- binding machinery
+#
+# Walks that track binder scopes push markers around a let's body: the
+# scope opens once the scrutinee is done and closes after the body.
 
 
 def free_occurrences(t: TermExpr) -> list[str]:
@@ -173,29 +260,27 @@ def free_occurrences(t: TermExpr) -> list[str]:
 
     Repeated uses show up repeatedly; linearity checking counts on that.
     """
-    match t:
-        case Var(name):
-            return [name]
-        case Star():
-            return []
-        case LetStar(s, b):
-            return free_occurrences(s) + free_occurrences(b)
-        case GateApp(_, args):
-            out: list[str] = []
-            for a in args:
-                out.extend(free_occurrences(a))
-            return out
-        case Pair(l, r):
-            return free_occurrences(l) + free_occurrences(r)
-        case LetPair(x, y, s, b):
-            return free_occurrences(s) + [
-                n for n in free_occurrences(b) if n != x and n != y
-            ]
-        case BoxIntro(_, b):
-            return free_occurrences(b)
-        case LetBox(_, x, s, b):
-            return free_occurrences(s) + [n for n in free_occurrences(b) if n != x]
-    raise TypeError(f"not a term: {t!r}")
+    out: list[str] = []
+    bound: dict[str, int] = {}
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            if not bound.get(node.name):
+                out.append(node.name)
+        elif cls is tuple:  # (+1 or -1, names): a scope opens or closes
+            step, names = node
+            for name in names:
+                bound[name] = bound.get(name, 0) + step
+        else:
+            names = binders(node)
+            if names:
+                s, b = children(node)
+                stack += ((-1, names), b, (1, names), s)
+            else:
+                stack.extend(reversed(children(node)))
+    return out
 
 
 def free_vars(t: TermExpr) -> list[str]:
@@ -204,28 +289,6 @@ def free_vars(t: TermExpr) -> list[str]:
     for name in free_occurrences(t):
         seen.setdefault(name)
     return list(seen)
-
-
-def bound_names(t: TermExpr) -> set[str]:
-    match t:
-        case Var() | Star():
-            return set()
-        case LetStar(s, b):
-            return bound_names(s) | bound_names(b)
-        case GateApp(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= bound_names(a)
-            return out
-        case Pair(l, r):
-            return bound_names(l) | bound_names(r)
-        case LetPair(x, y, s, b):
-            return {x, y} | bound_names(s) | bound_names(b)
-        case BoxIntro(_, b):
-            return bound_names(b)
-        case LetBox(_, x, s, b):
-            return {x} | bound_names(s) | bound_names(b)
-    raise TypeError(f"not a term: {t!r}")
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -239,68 +302,73 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{stem}_{i}"
 
 
+# Frame tags of the rebuilding walks below.
+_VISIT, _BUILD, _THEN, _BODY = range(4)
+
+
+def _build(vals: list[TermExpr], node: TermExpr, n: int, names: tuple[str, ...] | None) -> None:
+    kids = vals[-n:]
+    del vals[-n:]
+    vals.append(_REBUILD[type(node)](node, kids, names))
+
+
 def subst_parallel(t: TermExpr, mapping: dict[str, TermExpr]) -> TermExpr:
     """Simultaneous capture-avoiding substitution of free variables."""
     if not mapping:
         return t
-
-    def avoid_for(sub: dict[str, TermExpr]) -> set[str]:
-        out: set[str] = set()
-        for v in sub.values():
-            out.update(free_vars(v))
-        return out
-
-    def go(t: TermExpr, sub: dict[str, TermExpr]) -> TermExpr:
+    vals: list[TermExpr] = []
+    stack: list[tuple] = [(_VISIT, t, dict(mapping))]
+    while stack:
+        frame = stack.pop()
+        tag = frame[0]
+        if tag == _BUILD:
+            _build(vals, frame[1], frame[2], frame[3])
+            continue
+        if tag == _THEN:  # substitute into the value just computed
+            stack.append((_VISIT, vals.pop(), frame[1]))
+            continue
+        _, node, sub = frame
         if not sub:
-            return t
-        match t:
-            case Var(name):
-                return sub.get(name, t)
-            case Star():
-                return t
-            case LetStar(s, b):
-                return LetStar(go(s, sub), go(b, sub))
-            case GateApp(g, args):
-                return GateApp(g, tuple(go(a, sub) for a in args))
-            case Pair(l, r):
-                return Pair(go(l, sub), go(r, sub))
-            case LetPair(x, y, s, b):
-                s2 = go(s, sub)
-                body_sub = {k: v for k, v in sub.items() if k != x and k != y}
-                danger = avoid_for(body_sub)
-                # A fresh binder must not collide with pending substitution
-                # keys either, or the later pass would rewrite it.
-                taken = danger | set(body_sub) | set(free_vars(b)) | {x, y}
-                nx, ny = x, y
+            vals.append(node)
+            continue
+        if type(node) is Var:
+            vals.append(sub.get(node.name, node))
+            continue
+        kids = children(node)
+        names = binders(node)
+        if not names:
+            if kids:
+                stack.append((_BUILD, node, len(kids), None))
+                stack.extend((_VISIT, k, sub) for k in reversed(kids))
+            else:
+                vals.append(node)
+            continue
+        s, b = kids
+        body_sub = {k: v for k, v in sub.items() if k not in names}
+        danger: set[str] = set()
+        for v in body_sub.values():
+            danger.update(free_vars(v))
+        new = names
+        if not danger.isdisjoint(names):
+            # A fresh binder must not collide with pending substitution
+            # keys either, or the later pass would rewrite it.
+            taken = danger | set(body_sub) | set(free_vars(b)) | set(names)
+            renamed = []
+            for x in names:
                 if x in danger:
-                    nx = fresh_name(x, taken)
-                    taken.add(nx)
-                if y in danger:
-                    ny = fresh_name(y, taken)
-                if (nx, ny) != (x, y):
-                    ren: dict[str, TermExpr] = {}
-                    if nx != x:
-                        ren[x] = Var(nx)
-                    if ny != y:
-                        ren[y] = Var(ny)
-                    b = go(b, ren)
-                return LetPair(nx, ny, s2, go(b, body_sub))
-            case BoxIntro(d, b):
-                return BoxIntro(d, go(b, sub))
-            case LetBox(d, x, s, b):
-                s2 = go(s, sub)
-                body_sub = {k: v for k, v in sub.items() if k != x}
-                danger = avoid_for(body_sub)
-                nx = x
-                if x in danger:
-                    nx = fresh_name(
-                        x, danger | set(body_sub) | set(free_vars(b)) | {x}
-                    )
-                    b = go(b, {x: Var(nx)})
-                return LetBox(d, nx, s2, go(b, body_sub))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, dict(mapping))
+                    x = fresh_name(x, taken)
+                    taken.add(x)
+                renamed.append(x)
+            new = tuple(renamed)
+        stack.append((_BUILD, node, 2, new))
+        if new != names:
+            stack.append((_THEN, body_sub))
+            ren: dict[str, TermExpr] = {x: Var(nx) for x, nx in zip(names, new) if nx != x}
+            stack.append((_VISIT, b, ren))
+        else:
+            stack.append((_VISIT, b, body_sub))
+        stack.append((_VISIT, s, sub))
+    return vals[0]
 
 
 def substitute(t: TermExpr, x: str, s: TermExpr) -> TermExpr:
@@ -308,130 +376,158 @@ def substitute(t: TermExpr, x: str, s: TermExpr) -> TermExpr:
     return subst_parallel(t, {x: s})
 
 
+def _open(env: dict[str, int], names: tuple[str, ...], depth: int) -> None:
+    """Bind ``names`` to the binder levels ``depth``, ``depth + 1``, ..."""
+    for i, x in enumerate(names):
+        env[x] = depth + i
+
+
+def _close(env: dict[str, int], saved: list[tuple[str, int | None]]) -> None:
+    """Put back the levels ``_open`` shadowed."""
+    for x, old in saved:
+        if old is None:
+            del env[x]
+        else:
+            env[x] = old
+
+
 def alpha_eq(s: TermExpr, t: TermExpr) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
-
-    def go(s: TermExpr, t: TermExpr, env_s: dict[str, int], env_t: dict[str, int], depth: int) -> bool:
-        match s, t:
-            case Var(a), Var(b):
-                da, db = env_s.get(a), env_t.get(b)
-                if da is None and db is None:
-                    return a == b
-                return da == db
-            case Star(), Star():
-                return True
-            case LetStar(s1, b1), LetStar(s2, b2):
-                return go(s1, s2, env_s, env_t, depth) and go(b1, b2, env_s, env_t, depth)
-            case GateApp(g1, a1), GateApp(g2, a2):
-                return (
-                    g1 == g2
-                    and len(a1) == len(a2)
-                    and all(go(u, v, env_s, env_t, depth) for u, v in zip(a1, a2))
-                )
-            case Pair(l1, r1), Pair(l2, r2):
-                return go(l1, l2, env_s, env_t, depth) and go(r1, r2, env_s, env_t, depth)
-            case LetPair(x1, y1, s1, b1), LetPair(x2, y2, s2, b2):
-                if not go(s1, s2, env_s, env_t, depth):
-                    return False
-                es = {**env_s, x1: depth, y1: depth + 1}
-                et = {**env_t, x2: depth, y2: depth + 1}
-                return go(b1, b2, es, et, depth + 2)
-            case BoxIntro(d1, b1), BoxIntro(d2, b2):
-                return d1 == d2 and go(b1, b2, env_s, env_t, depth)
-            case LetBox(d1, x1, s1, b1), LetBox(d2, x2, s2, b2):
-                if d1 != d2 or not go(s1, s2, env_s, env_t, depth):
-                    return False
-                return go(b1, b2, {**env_s, x1: depth}, {**env_t, x2: depth}, depth + 1)
-            case _:
+    env_s: dict[str, int] = {}
+    env_t: dict[str, int] = {}
+    depth = 0
+    stack: list = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        cls = type(a)
+        if cls is str:  # a binder scope opens or closes
+            if a == "open":
+                _open(env_s, b[0], depth)
+                _open(env_t, b[1], depth)
+                depth += len(b[0])
+            else:
+                _close(env_s, b[0])
+                _close(env_t, b[1])
+                depth -= len(b[0])
+            continue
+        if cls is not type(b):
+            return False
+        if cls is Var:
+            da, db = env_s.get(a.name), env_t.get(b.name)
+            if da != db or (da is None and a.name != b.name):
                 return False
+            continue
+        if cls is GateApp:
+            if a.gate != b.gate or len(a.args) != len(b.args):
+                return False
+        elif cls is BoxIntro or cls is LetBox:
+            if a.grade != b.grade:
+                return False
+        names_a = binders(a)
+        if names_a:
+            names_b = binders(b)
+            saved = ([(x, env_s.get(x)) for x in names_a], [(y, env_t.get(y)) for y in names_b])
+            stack += (
+                ("close", saved),
+                (a.body, b.body),
+                ("open", (names_a, names_b)),
+                (a.scrutinee, b.scrutinee),
+            )
+        else:
+            stack.extend(zip(reversed(children(a)), reversed(children(b))))
+    return True
 
-    return go(s, t, {}, {}, 0)
+
+_KEY_HEAD = {
+    LetStar: lambda t: "(ls ",
+    GateApp: lambda t: f"({t.gate} ",
+    Pair: lambda t: "(p ",
+    LetPair: lambda t: "(lp ",
+    BoxIntro: lambda t: f"(b {t.grade} ",
+    LetBox: lambda t: f"(lb {t.grade} ",
+}
 
 
 def alpha_key(t: TermExpr) -> str:
     """Canonical string key: alpha-equivalent terms get identical keys."""
-
-    def go(t: TermExpr, env: dict[str, int], depth: int) -> str:
-        match t:
-            case Var(name):
-                i = env.get(name)
-                return f"!{i}" if i is not None else name
-            case Star():
-                return "*"
-            case LetStar(s, b):
-                return f"(ls {go(s, env, depth)} {go(b, env, depth)})"
-            case GateApp(g, args):
-                inner = " ".join(go(a, env, depth) for a in args)
-                return f"({g} {inner})"
-            case Pair(l, r):
-                return f"(p {go(l, env, depth)} {go(r, env, depth)})"
-            case LetPair(x, y, s, b):
-                benv = {**env, x: depth, y: depth + 1}
-                return f"(lp {go(s, env, depth)} {go(b, benv, depth + 2)})"
-            case BoxIntro(d, b):
-                return f"(b {d} {go(b, env, depth)})"
-            case LetBox(d, x, s, b):
-                benv = {**env, x: depth}
-                return f"(lb {d} {go(s, env, depth)} {go(b, benv, depth + 1)})"
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, {}, 0)
+    env: dict[str, int] = {}
+    depth = 0
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+        elif cls is Var:
+            i = env.get(item.name)
+            out.append(item.name if i is None else f"!{i}")
+        elif cls is Star:
+            out.append("*")
+        elif cls is tuple:  # ("open", names) or ("close", saved): a binder scope
+            if item[0] == "open":
+                _open(env, item[1], depth)
+                depth += len(item[1])
+            else:
+                _close(env, item[1])
+                depth -= len(item[1])
+        else:
+            out.append(_KEY_HEAD[cls](item))
+            stack.append(")")
+            names = binders(item)
+            if names:
+                saved = [(x, env.get(x)) for x in names]
+                stack += (("close", saved), item.body, ("open", names), " ", item.scrutinee)
+            else:
+                kids = children(item)
+                for i in range(len(kids) - 1, 0, -1):
+                    stack += (kids[i], " ")
+                stack.append(kids[0])
+    return "".join(out)
 
 
 def freshen_binders(t: TermExpr, extra_avoid: set[str] | None = None) -> TermExpr:
     """Rename binders so all binders and free variables are pairwise distinct.
 
     Deterministic; a term already satisfying the convention is returned
-    unchanged shape-for-shape.
+    unchanged shape-for-shape.  Names are taken in the order the binders
+    are reached, a let's after its scrutinee's.
     """
     taken = set(free_vars(t)) | (extra_avoid or set())
-
-    def go(t: TermExpr) -> TermExpr:
-        match t:
-            case Var() | Star():
-                return t
-            case LetStar(s, b):
-                return LetStar(go(s), go(b))
-            case GateApp(g, args):
-                return GateApp(g, tuple(go(a) for a in args))
-            case Pair(l, r):
-                return Pair(go(l), go(r))
-            case LetPair(x, y, s, b):
-                s2 = go(s)
+    vals: list[TermExpr] = []
+    stack: list[tuple] = [(_VISIT, t)]
+    while stack:
+        frame = stack.pop()
+        tag, node = frame[0], frame[1]
+        if tag == _BUILD:
+            _build(vals, node, frame[2], frame[3])
+        elif tag == _BODY:  # the scrutinee is done: name the binders, then the body
+            names = binders(node)
+            new = []
+            for x in names:
                 nx = fresh_name(x, taken)
                 taken.add(nx)
-                ny = fresh_name(y, taken)
-                taken.add(ny)
-                ren: dict[str, TermExpr] = {}
-                if nx != x:
-                    ren[x] = Var(nx)
-                if ny != y:
-                    ren[y] = Var(ny)
-                return LetPair(nx, ny, s2, go(subst_parallel(b, ren)))
-            case BoxIntro(d, b):
-                return BoxIntro(d, go(b))
-            case LetBox(d, x, s, b):
-                s2 = go(s)
-                nx = fresh_name(x, taken)
-                taken.add(nx)
-                b2 = substitute(b, x, Var(nx)) if nx != x else b
-                return LetBox(d, nx, s2, go(b2))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+                new.append(nx)
+            ren: dict[str, TermExpr] = {x: Var(nx) for x, nx in zip(names, new) if nx != x}
+            stack.append((_BUILD, node, 2, tuple(new)))
+            stack.append((_VISIT, subst_parallel(node.body, ren)))
+        else:
+            kids = children(node)
+            if not kids:
+                vals.append(node)
+            elif binders(node):
+                stack += ((_BODY, node), (_VISIT, node.scrutinee))
+            else:
+                stack.append((_BUILD, node, len(kids), None))
+                stack.extend((_VISIT, k) for k in reversed(kids))
+    return vals[0]
 
 
 def term_size(t: TermExpr) -> int:
     """Number of constructors in the term."""
-    match t:
-        case Var() | Star():
-            return 1
-        case LetStar(s, b) | LetPair(_, _, s, b) | LetBox(_, _, s, b):
-            return 1 + term_size(s) + term_size(b)
-        case GateApp(_, args):
-            return 1 + sum(term_size(a) for a in args)
-        case Pair(l, r):
-            return 1 + term_size(l) + term_size(r)
-        case BoxIntro(_, b):
-            return 1 + term_size(b)
-    raise TypeError(f"not a term: {t!r}")
+    size = 0
+    stack = [t]
+    while stack:
+        size += 1
+        stack.extend(children(stack.pop()))
+    return size

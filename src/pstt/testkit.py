@@ -21,10 +21,12 @@ from .syntax import (
     Context,
     GateApp,
     Judgement,
+    LETS,
     LetBox,
     LetPair,
     LetStar,
     Pair,
+    Place,
     Qubit,
     Star,
     Tensor,
@@ -33,14 +35,19 @@ from .syntax import (
     Unit,
     Var,
     alpha_key,
+    binders,
+    children,
     free_vars,
     fresh_name,
+    plug,
+    positions,
     qubits_of_type,
+    rebuild,
     subst_parallel,
     substitute,
     tensor_of,
 )
-from .typecheck import ErrorKind, TypingError, check, infer, synthesize
+from .typecheck import TypingError, _synth, check, infer, synthesize
 
 
 @dataclass(frozen=True)
@@ -292,40 +299,28 @@ def gen_single_var_judgement(
 def node_types(
     term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec
 ) -> dict[tuple[int, ...], TypeExpr]:
-    """Type of every subterm by path; grades are ignored."""
+    """Type of every subterm by path, read off the checker's synthesis tree.
+
+    Context grades are ignored; a term the synthesis rejects (a non-linear
+    one, say) raises its TypingError.
+    """
+    root, _ = _synth(term, env, chip)
     out: dict[tuple[int, ...], TypeExpr] = {}
-
-    def go(t: TermExpr, env: dict[str, TypeExpr], path: tuple[int, ...]) -> TypeExpr:
-        match t:
-            case Var(name):
-                ty = env[name]
-            case Star():
-                ty = Unit()
-            case LetStar(s, b):
-                go(s, env, path + (0,))
-                ty = go(b, env, path + (1,))
-            case GateApp(g, args):
-                decl = chip.find_gate(g)
-                if decl is None:
-                    raise TypingError(ErrorKind.UNKNOWN_GATE, f"unknown gate {g!r}")
-                for i, a in enumerate(args):
-                    go(a, env, path + (i,))
-                ty = tensor_of([Qubit(q) for q in decl.qubits])
-            case Pair(l, r):
-                ty = Tensor(go(l, env, path + (0,)), go(r, env, path + (1,)))
-            case LetPair(x, y, s, b):
-                sty = go(s, env, path + (0,))
-                ty = go(b, {**env, x: sty.left, y: sty.right}, path + (1,))
-            case BoxIntro(d, b):
-                ty = Box(d, go(b, env, path + (0,)))
-            case LetBox(d, x, s, b):
-                sty = go(s, env, path + (0,))
-                ty = go(b, {**env, x: sty.body}, path + (1,))
-        out[path] = ty
-        return ty
-
-    go(term, dict(env), ())
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        out[path] = node.type
+        stack.extend((path + (i,), c) for i, c in enumerate(node.children))
     return out
+
+
+def _path(up: Place | None) -> tuple[int, ...]:
+    """Child indices from the root down to a place."""
+    path = []
+    while up is not None:
+        _, i, up = up
+        path.append(i)
+    return tuple(reversed(path))
 
 # ------------------------------------------------------------------ oracle
 #
@@ -363,49 +358,6 @@ class ProofSearchResult:
     proof: tuple[ProofStep, ...] = ()
     depth_explored: int = 0
     path_terms: tuple[TermExpr, ...] = ()
-
-
-def _paths(t: TermExpr, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], TermExpr]]:
-    out = [(path, t)]
-    match t:
-        case Var() | Star():
-            pass
-        case LetStar(s, b) | LetPair(_, _, s, b) | LetBox(_, _, s, b):
-            out += _paths(s, path + (0,))
-            out += _paths(b, path + (1,))
-        case GateApp(_, args):
-            for i, a in enumerate(args):
-                out += _paths(a, path + (i,))
-        case Pair(l, r):
-            out += _paths(l, path + (0,))
-            out += _paths(r, path + (1,))
-        case BoxIntro(_, b):
-            out += _paths(b, path + (0,))
-    return out
-
-
-def _replace(t: TermExpr, path: tuple[int, ...], new: TermExpr) -> TermExpr:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    match t:
-        case LetStar(s, b):
-            return LetStar(_replace(s, rest, new), b) if i == 0 else LetStar(s, _replace(b, rest, new))
-        case LetPair(x, y, s, b):
-            if i == 0:
-                return LetPair(x, y, _replace(s, rest, new), b)
-            return LetPair(x, y, s, _replace(b, rest, new))
-        case LetBox(d, x, s, b):
-            if i == 0:
-                return LetBox(d, x, _replace(s, rest, new), b)
-            return LetBox(d, x, s, _replace(b, rest, new))
-        case GateApp(g, args):
-            return GateApp(g, args[:i] + (_replace(args[i], rest, new),) + args[i + 1 :])
-        case Pair(l, r):
-            return Pair(_replace(l, rest, new), r) if i == 0 else Pair(l, _replace(r, rest, new))
-        case BoxIntro(d, b):
-            return BoxIntro(d, _replace(b, rest, new))
-    raise AssertionError((t, path))
 
 
 def _local_moves(node: TermExpr, ty: TypeExpr | None) -> list[tuple[str, str, TermExpr]]:
@@ -447,62 +399,65 @@ def _local_moves(node: TermExpr, ty: TypeExpr | None) -> list[tuple[str, str, Te
     kind = {LetStar: "unit", LetPair: "pair", LetBox: "box"}
 
     match node:
-        case Pair(inner, r) if _is_let(inner):
-            binders, s, b = _let_split(inner)
-            if not set(binders) & set(free_vars(r)):
+        case Pair(inner, r) if isinstance(inner, LETS):
+            s, b = children(inner)
+            if not set(binders(inner)) & set(free_vars(r)):
                 out.append(
-                    (f"hoist-{kind[type(inner)]}-from-pair-left", "fwd", _let_join(inner, s, Pair(b, r)))
+                    (f"hoist-{kind[type(inner)]}-from-pair-left", "fwd", rebuild(inner, (s, Pair(b, r))))
                 )
         case _:
             pass
     match node:
-        case Pair(l, inner) if _is_let(inner):
-            binders, s, b = _let_split(inner)
-            if not set(binders) & set(free_vars(l)):
+        case Pair(l, inner) if isinstance(inner, LETS):
+            s, b = children(inner)
+            if not set(binders(inner)) & set(free_vars(l)):
                 out.append(
-                    (f"hoist-{kind[type(inner)]}-from-pair-right", "fwd", _let_join(inner, s, Pair(l, b)))
+                    (f"hoist-{kind[type(inner)]}-from-pair-right", "fwd", rebuild(inner, (s, Pair(l, b))))
                 )
         case _:
             pass
     match node:
         case GateApp(g, args):
             for i, a in enumerate(args):
-                if _is_let(a):
-                    binders, s, b = _let_split(a)
+                if isinstance(a, LETS):
+                    s, b = children(a)
                     others = set()
                     for j, other in enumerate(args):
                         if j != i:
                             others |= set(free_vars(other))
-                    if not set(binders) & others:
+                    if not set(binders(a)) & others:
                         new_args = args[:i] + (b,) + args[i + 1 :]
                         out.append(
-                            (f"hoist-{kind[type(a)]}-from-gate", "fwd", _let_join(a, s, GateApp(g, new_args)))
+                            (f"hoist-{kind[type(a)]}-from-gate", "fwd", rebuild(a, (s, GateApp(g, new_args))))
                         )
         case _:
             pass
     match node:
-        case BoxIntro(d, inner) if _is_let(inner):
-            binders, s, b = _let_split(inner)
+        case BoxIntro(d, inner) if isinstance(inner, LETS):
+            s, b = children(inner)
             out.append(
-                (f"hoist-{kind[type(inner)]}-from-box", "fwd", _let_join(inner, s, BoxIntro(d, b)))
+                (f"hoist-{kind[type(inner)]}-from-box", "fwd", rebuild(inner, (s, BoxIntro(d, b))))
             )
         case _:
             pass
-    if _is_let(node):
-        binders_o, s_o, b_o = _let_split(node)
-        if _is_let(s_o):
-            binders_i, s_i, b_i = _let_split(s_o)
+    if isinstance(node, LETS):
+        binders_o = binders(node)
+        s_o, b_o = children(node)
+        if isinstance(s_o, LETS):
+            binders_i = binders(s_o)
+            s_i, b_i = children(s_o)
             if not set(binders_i) & set(free_vars(b_o)):
                 out.append(
                     (
                         f"hoist-{kind[type(s_o)]}-from-{kind[type(node)]}-scrutinee",
                         "fwd",
-                        _let_join(s_o, s_i, _let_join(node, b_i, b_o)),
+                        rebuild(s_o, (s_i, rebuild(node, (b_i, b_o)))),
                     )
                 )
         # Push the outer let into the inner scrutinee (reverse hoist).
-        if _is_let(b_o):
-            binders_i, s_i, b_i = _let_split(b_o)
+        if isinstance(b_o, LETS):
+            binders_i = binders(b_o)
+            s_i, b_i = children(b_o)
             if not set(binders_o) & set(free_vars(b_i)) and not set(binders_i) & set(
                 free_vars(s_o)
             ):
@@ -510,7 +465,7 @@ def _local_moves(node: TermExpr, ty: TypeExpr | None) -> list[tuple[str, str, Te
                     (
                         f"hoist-{kind[type(node)]}-from-{kind[type(b_o)]}-scrutinee",
                         "bwd",
-                        _let_join(b_o, _let_join(node, s_o, s_i), b_i),
+                        rebuild(b_o, (rebuild(node, (s_o, s_i)), b_i)),
                     )
                 )
             # Swap adjacent independent lets (self-inverse family).
@@ -521,23 +476,24 @@ def _local_moves(node: TermExpr, ty: TypeExpr | None) -> list[tuple[str, str, Te
                     (
                         f"swap-{kind[type(node)]}-{kind[type(b_o)]}",
                         "fwd",
-                        _let_join(b_o, s_i, _let_join(node, s_o, b_i)),
+                        rebuild(b_o, (s_i, rebuild(node, (s_o, b_i)))),
                     )
                 )
 
     # Push-in moves for constructors (reverse of hoist-out).
-    if _is_let(node):
-        binders_o, s_o, b_o = _let_split(node)
+    if isinstance(node, LETS):
+        binders_o = binders(node)
+        s_o, b_o = children(node)
         free_binders = set(binders_o)
         match b_o:
             case Pair(l, r):
                 if not free_binders & set(free_vars(r)):
                     out.append(
-                        (f"hoist-{kind[type(node)]}-from-pair-left", "bwd", Pair(_let_join(node, s_o, l), r))
+                        (f"hoist-{kind[type(node)]}-from-pair-left", "bwd", Pair(rebuild(node, (s_o, l)), r))
                     )
                 if not free_binders & set(free_vars(l)):
                     out.append(
-                        (f"hoist-{kind[type(node)]}-from-pair-right", "bwd", Pair(l, _let_join(node, s_o, r)))
+                        (f"hoist-{kind[type(node)]}-from-pair-right", "bwd", Pair(l, rebuild(node, (s_o, r))))
                     )
             case GateApp(g, args):
                 for i, a in enumerate(args):
@@ -546,40 +502,14 @@ def _local_moves(node: TermExpr, ty: TypeExpr | None) -> list[tuple[str, str, Te
                         if j != i:
                             others |= set(free_vars(other))
                     if not free_binders & others:
-                        new_args = args[:i] + (_let_join(node, s_o, a),) + args[i + 1 :]
+                        new_args = args[:i] + (rebuild(node, (s_o, a)),) + args[i + 1 :]
                         out.append((f"hoist-{kind[type(node)]}-from-gate", "bwd", GateApp(g, new_args)))
             case BoxIntro(d, b):
-                out.append((f"hoist-{kind[type(node)]}-from-box", "bwd", BoxIntro(d, _let_join(node, s_o, b))))
+                out.append((f"hoist-{kind[type(node)]}-from-box", "bwd", BoxIntro(d, rebuild(node, (s_o, b)))))
             case _:
                 pass
 
     return out
-
-
-def _is_let(t: TermExpr) -> bool:
-    return isinstance(t, (LetStar, LetPair, LetBox))
-
-
-def _let_split(t: TermExpr) -> tuple[tuple[str, ...], TermExpr, TermExpr]:
-    match t:
-        case LetStar(s, b):
-            return (), s, b
-        case LetPair(x, y, s, b):
-            return (x, y), s, b
-        case LetBox(_, x, s, b):
-            return (x,), s, b
-    raise AssertionError(t)
-
-
-def _let_join(template: TermExpr, scrutinee: TermExpr, body: TermExpr) -> TermExpr:
-    match template:
-        case LetStar(_, _):
-            return LetStar(scrutinee, body)
-        case LetPair(x, y, _, _):
-            return LetPair(x, y, scrutinee, body)
-        case LetBox(d, x, _, _):
-            return LetBox(d, x, scrutinee, body)
-    raise AssertionError(template)
 
 
 #: Rules whose whole-judgement validity needs a grade re-check; all other
@@ -611,11 +541,12 @@ def all_moves(
     except (TypingError, KeyError):
         types = {}
     moves: list[Move] = []
-    for path, node in _paths(j.term):
+    for node, up in positions(j.term):
+        path = _path(up)
         for rule, direction, new_node in _local_moves(node, types.get(path)):
             if skip_noise and (rule, direction) in NOISE_MOVES:
                 continue
-            candidate = _replace(j.term, path, new_node)
+            candidate = plug(new_node, up)
             if not fast or (rule, direction) in GRADE_SENSITIVE:
                 try:
                     check(Judgement(j.ctx, candidate, j.type), chip)

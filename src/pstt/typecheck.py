@@ -21,7 +21,7 @@ from .syntax import (
     CtxEntry,
     GateApp,
     Judgement,
-    LetBox,
+    LETS,
     LetPair,
     LetStar,
     Pair,
@@ -32,6 +32,9 @@ from .syntax import (
     TypeExpr,
     Unit,
     Var,
+    binders,
+    children,
+    free_occurrences,
     tensor_of,
 )
 
@@ -176,13 +179,16 @@ class _Solver:
 
 @dataclass
 class _Node:
-    """Per-subterm synthesis record mirroring the term tree."""
+    """Per-subterm synthesis record mirroring the term tree.
+
+    ``children`` follow ``syntax.children`` of ``term``.  A node's
+    ``offsets`` map may be handed on to its parent and grown in place.
+    """
 
     term: TermExpr
     type: TypeExpr
     rule: str
     offsets: dict[str, Affine]
-    var_types: dict[str, TypeExpr]
     params: tuple = ()
     children: list["_Node"] = field(default_factory=list)
     binders: tuple[str, ...] = ()
@@ -228,161 +234,188 @@ class _Synth:
             raise TypingError(ErrorKind.UNKNOWN_GATE, f"gate {name!r} is not declared", location=loc)
         return decl
 
-    def merge(self, parts: list[dict[str, Affine]], loc: TermExpr) -> dict[str, Affine]:
-        out: dict[str, Affine] = {}
-        for part in parts:
-            for name, a in part.items():
-                if name in out:
-                    raise TypingError(
-                        ErrorKind.DUPLICATE_USE,
-                        f"variable {name!r} is used more than once",
-                        location=loc,
-                    )
-                out[name] = a
-        return out
+    def merge(self, a: dict[str, Affine], b: dict[str, Affine], loc: TermExpr) -> dict[str, Affine]:
+        """Union of two offset maps, made by moving the smaller into the larger."""
+        if len(a) > len(b):
+            a, b = b, a
+        if not b.keys().isdisjoint(a):
+            # Name the variable whose second use comes first in the term.
+            seen: set[str] = set()
+            for name in free_occurrences(loc):
+                if name in seen:
+                    break
+                seen.add(name)
+            raise TypingError(
+                ErrorKind.DUPLICATE_USE,
+                f"variable {name!r} is used more than once",
+                location=loc,
+            )
+        b.update(a)
+        return b
 
     def visit(self, t: TermExpr, env: dict[str, TypeExpr]) -> _Node:
-        match t:
-            case Var(name):
-                ty = env.get(name)
+        """Synthesise ``t`` with an explicit stack of unfinished nodes.
+
+        Checks run in term order: a gate's name and arity before its
+        arguments, a scrutinee's type before the body.  ``env`` gains a
+        let's binders once its scrutinee is typed and loses them when the
+        let is done.
+        """
+        frames: list[list] = []  # [term, its children, their nodes so far, gate decl or shadowed env]
+        while True:
+            cls = type(t)
+            if cls is Var:
+                ty = env.get(t.name)
                 if ty is None:
                     raise TypingError(
-                        ErrorKind.UNBOUND_VARIABLE, f"variable {name!r} is not in scope", location=t
+                        ErrorKind.UNBOUND_VARIABLE, f"variable {t.name!r} is not in scope", location=t
                     )
-                return _Node(t, ty, "var", {name: Affine.of(0)}, {name: ty})
-
-            case Star():
-                return _Node(t, Unit(), "unit-intro", {}, {})
-
-            case LetStar(s, b):
-                ns = self.visit(s, env)
-                if ns.type != Unit():
-                    raise TypingError(
-                        ErrorKind.TYPE_MISMATCH,
-                        f"scrutinee of let * must have type 1, got {print_type(ns.type)}",
-                        location=t,
-                        expected=Unit(),
-                        actual=ns.type,
-                    )
-                nb = self.visit(b, env)
-                sid = self.solver.fresh_slack()
-                self.slacks.append(sid)
-                slack = Affine.slack(sid)
-                shifted = {name: a.add(slack) for name, a in ns.offsets.items()}
-                offsets = self.merge([shifted, nb.offsets], t)
-                var_types = {**ns.var_types, **nb.var_types}
-                return _Node(t, nb.type, "unit-elim", offsets, var_types, (slack,), [ns, nb])
-
-            case GateApp(g, args):
-                decl = self.gate_decl(g, t)
-                if len(args) != len(decl.qubits):
-                    raise TypingError(
-                        ErrorKind.GATE_MISMATCH,
-                        f"gate {g!r} takes {len(decl.qubits)} argument(s), got {len(args)}",
-                        location=t,
-                    )
-                nodes = [self.visit(a, env) for a in args]
-                for node, q in zip(nodes, decl.qubits):
-                    if node.type != Qubit(q):
+                node = _Node(t, ty, "var", {t.name: Affine.of(0)})
+            elif cls is Star:
+                node = _Node(t, Unit(), "unit-intro", {})
+            else:
+                decl = None
+                if cls is GateApp:
+                    decl = self.gate_decl(t.gate, t)
+                    if len(t.args) != len(decl.qubits):
                         raise TypingError(
                             ErrorKind.GATE_MISMATCH,
-                            f"gate {g!r} expects an argument of type {q},"
-                            f" got {print_type(node.type)}",
+                            f"gate {t.gate!r} takes {len(decl.qubits)} argument(s), got {len(t.args)}",
                             location=t,
-                            expected=Qubit(q),
-                            actual=node.type,
                         )
-                offsets = self.merge([n.offsets for n in nodes], t)
-                offsets = {name: a.shift(-decl.duration) for name, a in offsets.items()}
-                var_types: dict[str, TypeExpr] = {}
-                for n in nodes:
-                    var_types.update(n.var_types)
-                ty = tensor_of([Qubit(q) for q in decl.qubits])
-                return _Node(t, ty, "gate", offsets, var_types, (decl.duration,), nodes)
+                kids = children(t)
+                frames.append([t, kids, [], decl])
+                t = kids[0]
+                continue
+            # Hand the finished node to its parent until one needs another child.
+            while frames:
+                parent, kids, done, extra = frame = frames[-1]
+                done.append(node)
+                if len(done) < len(kids):
+                    if len(done) == 1 and isinstance(parent, LETS):
+                        frame[3] = self.open_scope(parent, node.type, env)
+                    t = kids[len(done)]
+                    break
+                frames.pop()
+                node = self.finish(parent, done, extra, env)
+            else:
+                return node
 
-            case Pair(l, r):
-                nl = self.visit(l, env)
-                nr = self.visit(r, env)
-                offsets = self.merge([nl.offsets, nr.offsets], t)
-                return _Node(
-                    t,
-                    Tensor(nl.type, nr.type),
-                    "pair-intro",
-                    offsets,
-                    {**nl.var_types, **nr.var_types},
-                    (),
-                    [nl, nr],
+    def open_scope(self, t: TermExpr, ty: TypeExpr, env: dict[str, TypeExpr]) -> list:
+        """Check a let's scrutinee type ``ty`` and bind its binders in ``env``.
+
+        Returns the entries the binders shadow, for ``finish`` to put back.
+        """
+        if type(t) is LetStar:
+            if ty != Unit():
+                raise TypingError(
+                    ErrorKind.TYPE_MISMATCH,
+                    f"scrutinee of let * must have type 1, got {print_type(ty)}",
+                    location=t,
+                    expected=Unit(),
+                    actual=ty,
                 )
+            return []
+        if type(t) is LetPair:
+            if not isinstance(ty, Tensor):
+                raise TypingError(
+                    ErrorKind.TYPE_MISMATCH,
+                    f"scrutinee of let (x, y) must have a tensor type, got {print_type(ty)}",
+                    location=t,
+                    actual=ty,
+                )
+            bound = ((t.x, ty.left), (t.y, ty.right))
+        else:
+            if not isinstance(ty, Box) or ty.grade != t.grade:
+                raise TypingError(
+                    ErrorKind.TYPE_MISMATCH,
+                    f"scrutinee of let box[{t.grade}] must have type [{t.grade}] A,"
+                    f" got {print_type(ty)}",
+                    location=t,
+                    expected=Box(t.grade, Unit()),
+                    actual=ty,
+                )
+            bound = ((t.x, ty.body),)
+        shadowed = [(x, env.get(x)) for x, _ in bound]
+        env.update(bound)
+        return shadowed
 
-            case LetPair(x, y, s, b):
-                ns = self.visit(s, env)
-                if not isinstance(ns.type, Tensor):
+    def finish(self, t: TermExpr, nodes: list[_Node], extra, env: dict[str, TypeExpr]) -> _Node:
+        """The node of ``t`` from its children's nodes."""
+        cls = type(t)
+        if cls is GateApp:
+            decl: GateDecl = extra
+            for node, q in zip(nodes, decl.qubits):
+                if node.type != Qubit(q):
                     raise TypingError(
-                        ErrorKind.TYPE_MISMATCH,
-                        f"scrutinee of let (x, y) must have a tensor type,"
-                        f" got {print_type(ns.type)}",
+                        ErrorKind.GATE_MISMATCH,
+                        f"gate {t.gate!r} expects an argument of type {q},"
+                        f" got {print_type(node.type)}",
                         location=t,
-                        actual=ns.type,
+                        expected=Qubit(q),
+                        actual=node.type,
                     )
-                benv = {**env, x: ns.type.left, y: ns.type.right}
-                nb = self.visit(b, benv)
-                for binder in (x, y):
-                    if binder not in nb.offsets:
-                        raise TypingError(
-                            ErrorKind.UNUSED_CONTEXT_ENTRY,
-                            f"binder {binder!r} is not used in the body",
-                            location=t,
-                        )
-                ex, ey = nb.offsets[x], nb.offsets[y]
-                if not self.solver.equate(ex, ey):
-                    raise TypingError(
-                        ErrorKind.GRADE_MISMATCH,
-                        f"pair binders {x!r} and {y!r} are used at different grades"
-                        f" ({self.solver.resolve(ex).render()} vs"
-                        f" {self.solver.resolve(ey).render()})",
-                        location=t,
-                    )
-                e = self.solver.resolve(ex)
-                body_offsets = {n: a for n, a in nb.offsets.items() if n not in (x, y)}
-                shifted = {n: a.add(e) for n, a in ns.offsets.items()}
-                offsets = self.merge([shifted, body_offsets], t)
-                var_types = {**ns.var_types}
-                var_types.update({n: ty for n, ty in nb.var_types.items() if n not in (x, y)})
-                return _Node(t, nb.type, "pair-elim", offsets, var_types, (e,), [ns, nb], (x, y))
+            offsets = nodes[0].offsets
+            for node in nodes[1:]:
+                offsets = self.merge(offsets, node.offsets, t)
+            offsets = {name: a.shift(-decl.duration) for name, a in offsets.items()}
+            ty = tensor_of([Qubit(q) for q in decl.qubits])
+            return _Node(t, ty, "gate", offsets, (decl.duration,), nodes)
 
-            case BoxIntro(d, b):
-                nb = self.visit(b, env)
-                offsets = {n: a.shift(d) for n, a in nb.offsets.items()}
-                return _Node(t, Box(d, nb.type), "box-intro", offsets, dict(nb.var_types), (d,), [nb])
+        if cls is Pair:
+            nl, nr = nodes
+            offsets = self.merge(nl.offsets, nr.offsets, t)
+            return _Node(t, Tensor(nl.type, nr.type), "pair-intro", offsets, (), nodes)
 
-            case LetBox(d, x, s, b):
-                ns = self.visit(s, env)
-                if not isinstance(ns.type, Box) or ns.type.grade != d:
-                    raise TypingError(
-                        ErrorKind.TYPE_MISMATCH,
-                        f"scrutinee of let box[{d}] must have type [{d}] A,"
-                        f" got {print_type(ns.type)}",
-                        location=t,
-                        expected=Box(d, Unit()),
-                        actual=ns.type,
-                    )
-                benv = {**env, x: ns.type.body}
-                nb = self.visit(b, benv)
-                if x not in nb.offsets:
-                    raise TypingError(
-                        ErrorKind.UNUSED_CONTEXT_ENTRY,
-                        f"binder {x!r} is not used in the body",
-                        location=t,
-                    )
-                e = self.solver.resolve(nb.offsets[x])
-                body_offsets = {n: a for n, a in nb.offsets.items() if n != x}
-                shifted = {n: a.add(e.shift(-d)) for n, a in ns.offsets.items()}
-                offsets = self.merge([shifted, body_offsets], t)
-                var_types = {**ns.var_types}
-                var_types.update({n: ty for n, ty in nb.var_types.items() if n != x})
-                return _Node(t, nb.type, "box-elim", offsets, var_types, (d, e), [ns, nb], (x,))
+        if cls is BoxIntro:
+            (nb,) = nodes
+            offsets = {n: a.shift(t.grade) for n, a in nb.offsets.items()}
+            return _Node(t, Box(t.grade, nb.type), "box-intro", offsets, (t.grade,), nodes)
 
-        raise TypeError(f"not a term: {t!r}")
+        ns, nb = nodes
+        for x, old in extra:
+            if old is None:
+                del env[x]
+            else:
+                env[x] = old
+
+        if cls is LetStar:
+            sid = self.solver.fresh_slack()
+            self.slacks.append(sid)
+            slack = Affine.slack(sid)
+            shifted = {name: a.add(slack) for name, a in ns.offsets.items()}
+            offsets = self.merge(shifted, nb.offsets, t)
+            return _Node(t, nb.type, "unit-elim", offsets, (slack,), nodes)
+
+        names = binders(t)
+        for binder in names:
+            if binder not in nb.offsets:
+                raise TypingError(
+                    ErrorKind.UNUSED_CONTEXT_ENTRY,
+                    f"binder {binder!r} is not used in the body",
+                    location=t,
+                )
+        if cls is LetPair:
+            x, y = names
+            ex, ey = nb.offsets.pop(x), nb.offsets.pop(y)
+            if not self.solver.equate(ex, ey):
+                raise TypingError(
+                    ErrorKind.GRADE_MISMATCH,
+                    f"pair binders {x!r} and {y!r} are used at different grades"
+                    f" ({self.solver.resolve(ex).render()} vs"
+                    f" {self.solver.resolve(ey).render()})",
+                    location=t,
+                )
+            e = self.solver.resolve(ex)
+            shifted = {n: a.add(e) for n, a in ns.offsets.items()}
+            offsets = self.merge(shifted, nb.offsets, t)
+            return _Node(t, nb.type, "pair-elim", offsets, (e,), nodes, names)
+
+        e = self.solver.resolve(nb.offsets.pop(t.x))
+        shifted = {n: a.add(e.shift(-t.grade)) for n, a in ns.offsets.items()}
+        offsets = self.merge(shifted, nb.offsets, t)
+        return _Node(t, nb.type, "box-elim", offsets, (t.grade, e), nodes, names)
+
 
 
 def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple[_Node, _Synth]:
@@ -418,50 +451,60 @@ class Derivation:
     premises: tuple["Derivation", ...]
 
 
-def _elaborate(node: _Node, solver: _Solver, assignment: dict[int, int]) -> Derivation:
+def _elaborate(root: _Node, solver: _Solver, assignment: dict[int, int]) -> Derivation:
+    """The derivation of a synthesis tree, built bottom-up with an explicit stack."""
+
     def grade_of(a: Affine) -> int:
         return solver.resolve(a).eval(assignment)
 
-    premises = tuple(_elaborate(c, solver, assignment) for c in node.children)
-    params = tuple(
-        grade_of(p) if isinstance(p, Affine) else p for p in node.params
-    )
+    done: list[Derivation] = []
+    stack: list[tuple[_Node, bool]] = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not ready:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+            continue
+        n = len(node.children)
+        premises = tuple(done[len(done) - n :])
+        del done[len(done) - n :]
+        params = tuple(grade_of(p) if isinstance(p, Affine) else p for p in node.params)
 
-    match node.rule:
-        case "var":
-            name = next(iter(node.offsets))
-            ctx: tuple[CtxEntry, ...] = (CtxEntry(name, 0, node.var_types[name]),)
-        case "unit-intro":
-            ctx = ()
-        case "pair-intro" | "gate":
-            ctx = tuple(e for p in premises for e in p.ctx)
-            if node.rule == "gate":
+        match node.rule:
+            case "var":
+                ctx: tuple[CtxEntry, ...] = (CtxEntry(node.term.name, 0, node.type),)
+            case "unit-intro":
+                ctx = ()
+            case "pair-intro" | "gate":
+                ctx = tuple(e for p in premises for e in p.ctx)
+                if node.rule == "gate":
+                    d = params[0]
+                    ctx = tuple(CtxEntry(e.name, e.grade - d, e.type) for e in ctx)
+            case "unit-elim":
                 d = params[0]
-                ctx = tuple(CtxEntry(e.name, e.grade - d, e.type) for e in ctx)
-        case "unit-elim":
-            d = params[0]
-            scrut, body = premises
-            ctx = tuple(CtxEntry(e.name, e.grade + d, e.type) for e in scrut.ctx) + body.ctx
-        case "pair-elim":
-            e_grade = params[0]
-            scrut, body = premises
-            ctx = tuple(
-                CtxEntry(e.name, e.grade + e_grade, e.type) for e in scrut.ctx
-            ) + tuple(en for en in body.ctx if en.name not in node.binders)
-        case "box-intro":
-            d = params[0]
-            (body,) = premises
-            ctx = tuple(CtxEntry(e.name, e.grade + d, e.type) for e in body.ctx)
-        case "box-elim":
-            d, e_grade = params
-            scrut, body = premises
-            ctx = tuple(
-                CtxEntry(en.name, en.grade + e_grade - d, en.type) for en in scrut.ctx
-            ) + tuple(en for en in body.ctx if en.name != node.binders[0])
-        case _:
-            raise AssertionError(node.rule)
+                scrut, body = premises
+                ctx = tuple(CtxEntry(e.name, e.grade + d, e.type) for e in scrut.ctx) + body.ctx
+            case "pair-elim":
+                e_grade = params[0]
+                scrut, body = premises
+                ctx = tuple(
+                    CtxEntry(e.name, e.grade + e_grade, e.type) for e in scrut.ctx
+                ) + tuple(en for en in body.ctx if en.name not in node.binders)
+            case "box-intro":
+                d = params[0]
+                (body,) = premises
+                ctx = tuple(CtxEntry(e.name, e.grade + d, e.type) for e in body.ctx)
+            case "box-elim":
+                d, e_grade = params
+                scrut, body = premises
+                ctx = tuple(
+                    CtxEntry(en.name, en.grade + e_grade - d, en.type) for en in scrut.ctx
+                ) + tuple(en for en in body.ctx if en.name != node.binders[0])
+            case _:
+                raise AssertionError(node.rule)
 
-    return Derivation(node.term, node.type, ctx, node.rule, params, premises)
+        done.append(Derivation(node.term, node.type, ctx, node.rule, params, premises))
+    return done[0]
 
 
 def check(j: Judgement, chip: ChipSpec) -> Derivation:

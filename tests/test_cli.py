@@ -82,6 +82,23 @@ def test_eq_subcommand(tmp_path, chip0_path):
     assert "NotEqualBySemantics" in out
 
 
+def test_eq_reports_a_resource_limit_as_a_user_error(tmp_path, chip0_path):
+    # Both chains parse, check and normalize; the semantic refutation of
+    # their different normal forms then runs out of stack.
+    n = 1200
+    other = "H1(" * (n // 2) + "K1(" + "H1(" * (n // 2 - 1) + "x" + ")" * n
+    src = tmp_path / "chains.pstt"
+    src.write_text(
+        f"schedule a (x:^{-20 * n} q1) : q1 = {'H1(' * n}x{')' * n}\n"
+        f"schedule b (x:^{-20 * n} q1) : q1 = {other}\n"
+    )
+    code, out, err = invoke(
+        "eq", str(src), "--chip", str(chip0_path), "--name", "a", "--name", "b"
+    )
+    assert code == 1
+    assert "resource limit exceeded" in err
+
+
 def test_eq_requires_two_names(chip0_path, corpus_path):
     code, _, err = invoke(
         "eq", str(corpus_path), "--chip", str(chip0_path), "--name", "single_h1"

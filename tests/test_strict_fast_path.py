@@ -187,3 +187,12 @@ def test_pulse_reorder_builds_no_braids():
     assert coherent.braids > 0
     assert strict.mor_eq(fast, slow)
     assert fast.provenance == slow.provenance
+
+
+def test_interpret_rejects_a_derivation_that_disagrees_with_its_context(chip0):
+    # A box-intro grade of 25 under a context at grade 10 shifts the body to
+    # start at 5; the result must not pass for a morphism from the context.
+    j = parse("schedule b (x:^10 q1) : [30] q1 = box[30] H1(x)\n").declarations[0].judgement
+    shifted = dataclasses.replace(check(j, chip0), params=(25,))
+    with pytest.raises(ModelError, match="context"):
+        interpret(j, shifted, PulseModel(chip0))
