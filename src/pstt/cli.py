@@ -245,7 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
         if file_arg:
             p.add_argument("file", help="a .pstt source file")
         p.add_argument("--chip", required=True, help="chip spec JSON file")
-        p.add_argument("--budget", type=int, default=10_000, help="rewrite step budget")
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=10_000,
+            help="rewrite budget: one per beta, eta or hoist step and one per sort of a let prefix",
+        )
 
     with_common(sub.add_parser("check", help="type-check all declarations"))
     with_common(sub.add_parser("infer", help="infer context and type per declaration"))

@@ -3,7 +3,8 @@
 Orientation: beta rules and the pair/box eta rules contract; the commuting
 conversions hoist every let-binder outward (out of gate arguments, pair
 components, boxes and scrutinee positions) until all lets form one prefix,
-whose independent neighbours are then sorted by the printed scrutinee.
+which is then sorted in one pass by the printed scrutinee, keeping every
+let below the lets it depends on.
 
 The unit eta rule is oriented as an *expansion* ``z -> let * = z in *`` on
 unit-typed variables.  Contraction is grade-sensitive (the let's context
@@ -18,8 +19,10 @@ expansion and canonicalizes less.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 from .chip import ChipSpec
 from .surface import print_term
@@ -83,12 +86,36 @@ class RewriteStep:
 
 @dataclass(frozen=True)
 class NormalForm:
-    term: TermExpr
-    trace: tuple[RewriteStep, ...]
+    """A normal form and the rewrites that reached it.
 
-    @property
+    ``steps`` keeps each sort pass as one record.  ``rules`` and ``trace``
+    list its adjacent swaps one by one; ``trace`` builds the term after
+    each swap only when it is first read.
+    """
+
+    term: TermExpr
+    steps: tuple[RewriteStep | SortPass, ...]
+
+    @cached_property
     def rules(self) -> tuple[str, ...]:
-        return tuple(s.rule for s in self.trace)
+        out: list[str] = []
+        for step in self.steps:
+            if type(step) is RewriteStep:
+                out.append(step.rule)
+            else:
+                out.extend(rule for rule, _ in step.swaps())
+        return tuple(out)
+
+    @cached_property
+    def trace(self) -> tuple[RewriteStep, ...]:
+        out: list[RewriteStep] = []
+        for step in self.steps:
+            if type(step) is RewriteStep:
+                out.append(step)
+            else:
+                for rule, order in step.swaps():
+                    out.append(RewriteStep(rule, _wrap([step.lets[i] for i in order], step.core)))
+        return tuple(out)
 
 
 # --------------------------------------------------------------- let spine
@@ -167,20 +194,6 @@ def _hoist(t: TermExpr) -> tuple[str, TermExpr] | None:
     return None
 
 
-def swap_adjacent(t: TermExpr) -> TermExpr | None:
-    """Swap a let with the let directly under it; None if they depend."""
-    if type(t) not in _KIND:
-        return None
-    s1, body = children(t)
-    if type(body) not in _KIND:
-        return None
-    if not set(free_vars(body.scrutinee)).isdisjoint(binders(t)):
-        return None  # inner scrutinee uses an outer binder
-    inner = _rename_binders(body, set(free_vars(s1)))
-    s2, u = children(inner)
-    return rebuild(inner, (s2, rebuild(t, (s1, u))))
-
-
 def _spine(t: TermExpr) -> tuple[list[TermExpr], TermExpr]:
     """Maximal chain of let nodes from the root, plus the core body."""
     lets: list[TermExpr] = []
@@ -197,80 +210,97 @@ def _wrap(lets: list[TermExpr], core: TermExpr) -> TermExpr:
     return core
 
 
-def _spine_keys(lets: list[TermExpr]) -> list[str]:
-    """Alpha-stable sort keys for a let prefix.
+def _spine_keys(lets: list[TermExpr]) -> tuple[list[str], list[set[int]]]:
+    """Alpha-stable sort keys for a let prefix, and the lets each one uses.
 
     A scrutinee variable bound by an earlier spine let is rendered as a
     token built from that let's own key and the binder slot, so renaming
-    binders cannot change the ordering.
+    binders cannot change the ordering.  Every binder must differ from
+    every other binder and from every name free in a scrutinee at or above
+    it (``freshen_binders`` makes it so and the rules keep it so); then any
+    order that respects the dependencies rebuilds without capture.
     """
     owner: dict[str, tuple[int, int]] = {}
+    outer: set[str] = set()  # free names of scrutinees that no spine let binds
+    keys: list[str] = []
+    deps: list[set[int]] = []
     for i, node in enumerate(lets):
+        scrut = node.scrutinee
+        used = []
+        for b in free_vars(scrut):
+            if b in owner:
+                used.append(b)
+            else:
+                outer.add(b)
+        ren = {b: Var(f"<{keys[owner[b][0]]}#{owner[b][1]}>") for b in used}
+        rendered = print_term(subst_parallel(scrut, ren)) if ren else print_term(scrut)
+        prefix = f"box[{node.grade}]:" if type(node) is LetBox else f"{_KIND[type(node)]}:"
+        keys.append(prefix + rendered)
+        deps.append({owner[b][0] for b in used})
         for slot, b in enumerate(binders(node)):
+            if b in owner or b in outer:
+                raise AssertionError(f"spine binder {b!r} is not fresh")
             owner[b] = (i, slot)
-    keys: dict[int, str] = {}
-    for first in range(len(lets)):
-        path = [first]  # a let, then the lets its key waits for
-        while path:
-            i = path[-1]
-            if i in keys:
-                path.pop()
-                continue
-            scrut = lets[i].scrutinee
-            used = [b for b in free_vars(scrut) if b in owner]
-            wait = next((owner[b][0] for b in used if owner[b][0] not in keys), None)
-            if wait is not None:
-                if len(path) > len(lets):
-                    raise AssertionError("spine keys depend on each other")
-                path.append(wait)
-                continue
-            ren = {b: Var(f"<{keys[owner[b][0]]}#{owner[b][1]}>") for b in used}
-            rendered = print_term(subst_parallel(scrut, ren)) if ren else print_term(scrut)
-            node = lets[i]
-            prefix = f"box[{node.grade}]:" if type(node) is LetBox else f"{_KIND[type(node)]}:"
-            keys[i] = prefix + rendered
-            path.pop()
-    return [keys[i] for i in range(len(lets))]
+    return keys, deps
 
 
 def _sorted_spine_order(lets: list[TermExpr]) -> list[int]:
-    """Canonical order: greedy topological sort by alpha-stable key."""
-    n = len(lets)
-    deps: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        binders_i = binders(lets[i])
-        if not binders_i:
-            continue
-        for j in range(i + 1, n):
-            if not set(free_vars(lets[j].scrutinee)).isdisjoint(binders_i):
-                deps[j].add(i)
-    emitted: set[int] = set()
+    """Canonical order: the least topological order by (key, position).
+
+    Kahn's algorithm with a heap; it picks what a greedy scan for the
+    least ready let would pick.
+    """
+    keys, deps = _spine_keys(lets)
+    users: list[list[int]] = [[] for _ in lets]
+    for j, used in enumerate(deps):
+        for i in used:
+            users[i].append(j)
+    waiting = [len(used) for used in deps]
+    ready = [(keys[i], i) for i, w in enumerate(waiting) if not w]
+    heapq.heapify(ready)
     order: list[int] = []
-    keys = [(k, i) for i, k in enumerate(_spine_keys(lets))]
-    while len(order) < n:
-        ready = [i for i in range(n) if i not in emitted and deps[i] <= emitted]
-        best = min(ready, key=lambda i: keys[i])
-        order.append(best)
-        emitted.add(best)
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(i)
+        for j in users[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(ready, (keys[j], j))
     return order
 
 
-def _sort_step(t: TermExpr) -> tuple[str, TermExpr] | None:
-    """One adjacent swap moving the spine toward its canonical order."""
-    lets, _ = _spine(t)
+@dataclass(frozen=True)
+class SortPass:
+    """One sort of the let prefix into canonical order.
+
+    It stands for the adjacent swaps that bubble each let, in canonical
+    order, up to its place, which is what sorting one swap per step did.
+    """
+
+    lets: tuple[TermExpr, ...]
+    core: TermExpr
+    order: tuple[int, ...]
+    result: TermExpr
+
+    def swaps(self) -> Iterator[tuple[str, list[int]]]:
+        """Each adjacent swap's rule, with the spine order just after it."""
+        kinds = [_KINDS.index(_KIND[type(node)]) for node in self.lets]
+        current = list(range(len(self.lets)))
+        for place, want in enumerate(self.order):
+            for k in range(current.index(want, place), place, -1):
+                current[k - 1], current[k] = want, current[k - 1]
+                yield SWAP_RULES[3 * kinds[current[k]] + kinds[want]], current
+
+
+def _sort_pass(t: TermExpr) -> SortPass | None:
+    """Sort the let prefix in one pass; None if it is already sorted."""
+    lets, core = _spine(t)
     if len(lets) < 2:
         return None
-    target = _sorted_spine_order(lets)
-    if target == list(range(len(lets))):
+    order = _sorted_spine_order(lets)
+    if order == list(range(len(lets))):
         return None
-    # First slot whose canonical occupant differs; bubble it up one place.
-    pos = next(i for i, want in enumerate(target) if want != i)
-    want = target[pos]
-    swapped = swap_adjacent(lets[want - 1])
-    if swapped is None:
-        return None
-    out = _wrap(lets[: want - 1], swapped)
-    return f"swap-{_KIND[type(lets[want - 1])]}-{_KIND[type(lets[want])]}", out
+    return SortPass(tuple(lets), core, tuple(order), _wrap([lets[i] for i in order], core))
 
 
 def _count_pattern(t: TermExpr, pattern: TermExpr, names: set[str]) -> tuple[int, int]:
@@ -430,31 +460,31 @@ def _expand_unit_var(
 # ------------------------------------------------------------- normalize
 
 
-def _find_step(
+def _find_rewrite(
     t: TermExpr,
     env: dict[str, TypeExpr] | None,
     chip: ChipSpec | None,
     recheck: Callable[[TermExpr], bool] | None,
-) -> tuple[str, TermExpr] | None:
+) -> RewriteStep | None:
     """The next rewrite: the outermost-leftmost hit of the first rule family that has one."""
     spots = positions(t)
     for local in (_beta, _eta):
         for node, up in spots:
             hit = local(node)
             if hit is not None:
-                return hit[0], plug(hit[1], up)
+                return RewriteStep(hit[0], plug(hit[1], up))
     hit = _eta_spine(t, recheck)
     if hit is not None:
-        return hit
+        return RewriteStep(*hit)
     if env is not None and chip is not None:
         expanded = _expand_unit_var(t, env, chip)
         if expanded is not None:
-            return "eta-unit", expanded
+            return RewriteStep("eta-unit", expanded)
     for node, up in spots:
         hit = _hoist(node)
         if hit is not None:
-            return hit[0], plug(hit[1], up)
-    return _sort_step(t)
+            return RewriteStep(hit[0], plug(hit[1], up))
+    return None
 
 
 def normalize(
@@ -467,9 +497,12 @@ def normalize(
 ) -> NormalForm:
     """Rewrite to the canonical form; raises BudgetExceeded if it runs long.
 
-    Pass the judgement's context, result type and chip to enable the
-    grade-aware rules (unit-variable expansion and parked eta contraction);
-    without them those rules stay off and fewer equalities are recognized.
+    ``budget`` bounds the rewrites: one beta, eta or hoist step spends one,
+    and so does one pass that sorts the let prefix, however many lets it
+    moves.  Pass the judgement's context, result type and chip to enable
+    the grade-aware rules (unit-variable expansion and parked eta
+    contraction); without them those rules stay off and fewer equalities
+    are recognized.
     """
     env = {e.name: e.type for e in context} if context is not None else None
     recheck = None
@@ -483,16 +516,20 @@ def normalize(
             except TypingError:
                 return False
 
+    def find_step(t: TermExpr) -> RewriteStep | SortPass | None:
+        # The let prefix is sorted only when no other rule applies.
+        return _find_rewrite(t, env, chip, recheck) or _sort_pass(t)
+
     t = freshen_binders(term)
-    trace: list[RewriteStep] = []
+    steps: list[RewriteStep | SortPass] = []
     for _ in range(budget):
-        found = _find_step(t, env, chip, recheck)
+        found = find_step(t)
         if found is None:
-            return NormalForm(t, tuple(trace))
-        rule, t = found
-        trace.append(RewriteStep(rule, t))
-    if _find_step(t, env, chip, recheck) is None:
-        return NormalForm(t, tuple(trace))
+            return NormalForm(t, tuple(steps))
+        steps.append(found)
+        t = found.result
+    if find_step(t) is None:
+        return NormalForm(t, tuple(steps))
     raise BudgetExceeded(t, budget)
 
 

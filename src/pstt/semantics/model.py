@@ -145,16 +145,28 @@ class Model(ABC):
         return out
 
     def type_obj(self, ty: TypeExpr) -> Any:
-        match ty:
-            case Unit():
-                return self.unit()
-            case Qubit(name):
-                return self.qubit_obj(name)
-            case Tensor(left, right):
-                return self.tensor_obj(self.type_obj(left), self.type_obj(right))
-            case Box(grade, body):
-                return self.act_obj(grade, self.type_obj(body))
-        raise ModelError(f"not a type: {ty!r}")
+        """The object a type denotes, built bottom-up, left before right."""
+        vals: list[Any] = []
+        stack: list[tuple[TypeExpr, bool]] = [(ty, False)]  # (type, sides done)
+        while stack:
+            t, done = stack.pop()
+            cls = type(t)
+            if done and cls is Tensor:
+                right = vals.pop()
+                vals.append(self.tensor_obj(vals.pop(), right))
+            elif done:
+                vals.append(self.act_obj(t.grade, vals.pop()))
+            elif cls is Unit:
+                vals.append(self.unit())
+            elif cls is Qubit:
+                vals.append(self.qubit_obj(t.name))
+            elif cls is Tensor:
+                stack += [(t, True), (t.right, False), (t.left, False)]
+            elif cls is Box:
+                stack += [(t, True), (t.body, False)]
+            else:
+                raise ModelError(f"not a type: {t!r}")
+        return vals[0]
 
 
 # ---------------------------------------------------------------- shapes

@@ -235,19 +235,28 @@ def type_pulse_object(ty: TypeExpr) -> PulseObject:
     """The channel layout a type denotes, without needing a chip."""
     from ..syntax import Box, Tensor, Unit
 
-    match ty:
-        case Unit():
-            return PulseObject(())
-        case Qubit(name):
-            return PulseObject(((0, name),))
-        case Tensor(left, right):
-            l, r = type_pulse_object(left), type_pulse_object(right)
-            if l.qubits & r.qubits:
-                raise ModelError(
-                    f"qubit collision in tensor: {sorted(l.qubits & r.qubits)}"
-                )
-            return PulseObject(l.entries + r.entries)
-        case Box(grade, body):
-            inner = type_pulse_object(body)
-            return PulseObject(tuple((g + grade, q) for g, q in inner.entries))
-    raise ModelError(f"not a type: {ty!r}")
+    entries: list[tuple[int, str]] = []  # the leaves, left to right
+    sides: list[set[str]] = []  # qubits of each finished subtree
+    stack: list[tuple[TypeExpr, int, bool]] = [(ty, 0, False)]  # (type, shift, sides done)
+    while stack:
+        t, shift, done = stack.pop()
+        cls = type(t)
+        if done:
+            r, l = sides.pop(), sides.pop()
+            if l & r:
+                raise ModelError(f"qubit collision in tensor: {sorted(l & r)}")
+            small, big = sorted((l, r), key=len)
+            big |= small
+            sides.append(big)
+        elif cls is Unit:
+            sides.append(set())
+        elif cls is Qubit:
+            entries.append((shift, t.name))
+            sides.append({t.name})
+        elif cls is Tensor:
+            stack += [(t, shift, True), (t.right, shift, False), (t.left, shift, False)]
+        elif cls is Box:
+            stack.append((t.body, shift + t.grade, False))
+        else:
+            raise ModelError(f"not a type: {t!r}")
+    return PulseObject(tuple(entries))

@@ -206,33 +206,51 @@ class _Parser:
     # types ------------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
-        left = self.parse_boxed_type()
-        if self.at_punct("*"):
-            self.next()
-            return Tensor(left, self.parse_type())
-        return left
+        """A type, parsed with an explicit stack of unfinished constructs.
 
-    def parse_boxed_type(self) -> TypeExpr:
-        if self.at_punct("["):
-            self.next()
-            grade = self.expect_int()
-            self.expect_punct("]")
-            return Box(grade, self.parse_boxed_type())
-        tok = self.peek()
-        if tok.kind == "int":
-            if tok.text != "1":
-                raise self.fail(f"the only numeric type is 1, found {tok.text!r}")
-            self.next()
-            return Unit()
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
-            self.next()
-            return Qubit(tok.text)
-        if self.at_punct("("):
-            self.next()
-            inner = self.parse_type()
-            self.expect_punct(")")
-            return inner
-        raise self.fail(f"expected a type, found {tok.text or 'end of input'!r}")
+        ``*`` nests to the right and ``[d]`` binds tighter than ``*``.  Each
+        frame is a box prefix, a tensor waiting for its right side or an
+        open parenthesis.
+        """
+        frames: list[tuple[str, object]] = []
+        while True:
+            # Read box prefixes and parentheses until an atom completes a type.
+            tok = self.peek()
+            if tok.kind == "punct" and tok.text == "[":
+                self.next()
+                grade = self.expect_int()
+                self.expect_punct("]")
+                frames.append(("box", grade))
+                continue
+            if tok.kind == "punct" and tok.text == "(":
+                self.next()
+                frames.append(("paren", None))
+                continue
+            if tok.kind == "int":
+                if tok.text != "1":
+                    raise self.fail(f"the only numeric type is 1, found {tok.text!r}")
+                self.next()
+                ty: TypeExpr = Unit()
+            elif tok.kind == "ident" and tok.text not in _KEYWORDS:
+                self.next()
+                ty = Qubit(tok.text)
+            else:
+                raise self.fail(f"expected a type, found {tok.text or 'end of input'!r}")
+
+            # Hand the finished type outward until a frame needs another one.
+            while True:
+                while frames and frames[-1][0] == "box":
+                    ty = Box(frames.pop()[1], ty)
+                if self.at_punct("*"):
+                    self.next()
+                    frames.append(("tensor", ty))
+                    break
+                while frames and frames[-1][0] == "tensor":
+                    ty = Tensor(frames.pop()[1], ty)
+                if not frames:
+                    return ty
+                self.expect_punct(")")
+                frames.pop()  # the parenthesis; boxes before it apply next
 
     # terms ------------------------------------------------------------
 
@@ -414,22 +432,27 @@ def parse_type(text: str) -> TypeExpr:
 
 
 def print_type(ty: TypeExpr) -> str:
-    match ty:
-        case Unit():
-            return "1"
-        case Qubit(name):
-            return name
-        case Tensor(left, right):
-            l = print_type(left)
-            if isinstance(left, Tensor):
-                l = f"({l})"
-            return f"{l} * {print_type(right)}"
-        case Box(grade, body):
-            inner = print_type(body)
-            if isinstance(body, Tensor):
-                inner = f"({inner})"
-            return f"[{grade}] {inner}"
-    raise TypeError(f"not a type: {ty!r}")
+    out: list[str] = []
+    stack: list[TypeExpr | str] = [ty]  # pending types and text, last first
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is str:
+            out.append(t)
+        elif cls is Unit:
+            out.append("1")
+        elif cls is Qubit:
+            out.append(t.name)
+        elif cls is Tensor:
+            stack.append(t.right)
+            stack.append(" * ")
+            stack.extend((")", t.left, "(") if type(t.left) is Tensor else (t.left,))
+        elif cls is Box:
+            stack.extend((")", t.body, "(") if type(t.body) is Tensor else (t.body,))
+            stack.append(f"[{t.grade}] ")
+        else:
+            raise TypeError(f"not a type: {t!r}")
+    return "".join(out)
 
 
 def _parts(t: TermExpr) -> tuple | list:

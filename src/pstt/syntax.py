@@ -27,21 +27,88 @@ class Qubit:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
     left: "TypeExpr"
     right: "TypeExpr"
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Tensor:
+            return NotImplemented
+        return _types_equal(self, other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(_type_tokens(self))
+
+
+@dataclass(frozen=True, eq=False)
 class Box:
     """Time-shifted type ``[d] A``: an A displaced d nanoseconds."""
 
     grade: Grade
     body: "TypeExpr"
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Box:
+            return NotImplemented
+        return _types_equal(self, other)
+
+    def __hash__(self) -> int:
+        return hash(_type_tokens(self))
+
 
 TypeExpr = Unit | Qubit | Tensor | Box
+
+
+# Type equality and hashing walk explicit stacks, so a type's depth (a
+# register's width) is not bounded by the recursion limit.
+
+
+def _types_equal(a: TypeExpr, b: TypeExpr) -> bool:
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is Tensor:
+            stack.append((x.right, y.right))
+            stack.append((x.left, y.left))
+        elif cls is Qubit:
+            if x.name != y.name:
+                return False
+        elif cls is Box:
+            if x.grade != y.grade:
+                return False
+            stack.append((x.body, y.body))
+        elif cls is not Unit and not x == y:
+            return False
+    return True
+
+
+def _type_tokens(ty: TypeExpr) -> tuple:
+    """A type in pre-order, one token per node and one per box grade.
+
+    Every constructor has a fixed arity, so equal types give equal tokens.
+    """
+    out: list = []
+    stack = [ty]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is Tensor:
+            out.append(Tensor)
+            stack.append(t.right)
+            stack.append(t.left)
+        elif cls is Box:
+            out.append(Box)
+            out.append(t.grade)
+            stack.append(t.body)
+        else:
+            out.append(t)
+    return tuple(out)
 
 
 def tensor_of(types: list[TypeExpr] | tuple[TypeExpr, ...]) -> TypeExpr:
@@ -56,16 +123,21 @@ def tensor_of(types: list[TypeExpr] | tuple[TypeExpr, ...]) -> TypeExpr:
 
 def qubits_of_type(ty: TypeExpr) -> list[str]:
     """Qubit labels occurring in a type, left to right (with duplicates)."""
-    match ty:
-        case Unit():
-            return []
-        case Qubit(name):
-            return [name]
-        case Tensor(left, right):
-            return qubits_of_type(left) + qubits_of_type(right)
-        case Box(_, body):
-            return qubits_of_type(body)
-    raise TypeError(f"not a type: {ty!r}")
+    out: list[str] = []
+    stack = [ty]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is Tensor:
+            stack.append(t.right)
+            stack.append(t.left)
+        elif cls is Box:
+            stack.append(t.body)
+        elif cls is Qubit:
+            out.append(t.name)
+        elif cls is not Unit:
+            raise TypeError(f"not a type: {t!r}")
+    return out
 
 
 # ------------------------------------------------------------------ terms

@@ -195,3 +195,28 @@ def test_equal_trace_records_rules(chip0):
     )
     assert v.kind is EqKind.EQUAL
     assert "beta-box" in v.trace[0]
+
+
+def test_reversed_160_let_spine_sorts_within_budget(chip0):
+    # Sorting one adjacent swap per step spent the whole budget on this
+    # spine's 12 720 inversions and answered Unknown; one sort pass costs
+    # one step.
+    from pstt import CtxEntry, GateApp, LetStar, Var
+
+    names = [f"u{i:03d}" for i in range(160)]
+    ctx = (CtxEntry("x", -20, Qubit("q1")),) + tuple(CtxEntry(u, 0, Unit()) for u in names)
+    core = GateApp("H1", (Var("x"),))
+
+    def spine(order):
+        term = core
+        for u in reversed(order):
+            term = LetStar(Var(u), term)
+        return term
+
+    reversed_, sorted_ = spine(names[::-1]), spine(names)
+    v = judgementally_equal(ctx, reversed_, sorted_, Qubit("q1"), chip0)
+    assert v.kind is EqKind.EQUAL
+    kw = dict(context=ctx, result_type=Qubit("q1"), chip=chip0)
+    nf = normalize(reversed_, **kw)
+    assert alpha_eq(nf.term, normalize(sorted_, **kw).term)
+    assert len(nf.rules) == 160 * 159 // 2 == 12_720

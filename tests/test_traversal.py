@@ -39,11 +39,14 @@ from pstt import (
     judgementally_equal,
     normalize,
     parse,
+    print_context,
     print_term,
+    print_type,
     to_json,
     validate,
 )
-from pstt.syntax import alpha_key, subst_parallel
+from pstt.semantics import PulseModel, type_pulse_object
+from pstt.syntax import alpha_key, qubits_of_type, subst_parallel
 from pstt.testkit import GenConfig, enumerate_well_typed, gen_judgement
 
 GOLDEN = "ab0497105ee067a761a080bf0739d2af9a50c8598bc1a6025d29e9c7f9f19c50"
@@ -95,6 +98,24 @@ def test_spine_of_two_thousand_unit_lets(chip0):
     assert validate(schedule, j).passed
     printed = print_term(j.term)
     assert text.endswith(f" = {printed}\n")
+
+
+def test_layer_of_a_thousand_qubits():
+    # The type is a thousand tensors deep: type equality, parse_type,
+    # print_type and the emitter's channel layout walk it without recursing.
+    from test_strict_fast_path import layer_chip, layer_judgement
+
+    chip, j = layer_chip(1_000), layer_judgement(1_000)
+    text = f"schedule layer ({print_context(j.ctx)}) : {print_type(j.type)} = {print_term(j.term)}\n"
+    again = parse(text).declarations[0].judgement
+    assert again.ctx == j.ctx and again.type == j.type and alpha_eq(again.term, j.term)
+    assert qubits_of_type(j.type) == [f"q{i}" for i in range(1_000)]
+    assert PulseModel(chip).type_obj(j.type) == type_pulse_object(j.type)
+
+    check(j, chip)
+    schedule = emit(j, chip)
+    assert validate(schedule, j).passed
+    assert len(schedule.channels) == 1_000
 
 
 # ----------------------------------------------------------------- golden
