@@ -70,6 +70,8 @@ class ChipSpec:
     delay_gates_enabled: bool = True
     _gate_index: dict[str, GateDecl] = field(init=False, repr=False, compare=False)
     _qubit_set: frozenset[QubitId] = field(init=False, repr=False, compare=False)
+    # delay gates synthesised so far, by name
+    _delays: dict[str, GateDecl] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.qubits)) != len(self.qubits):
@@ -110,33 +112,36 @@ class ChipSpec:
                         raise ChipError(f"calibration sample {v} out of 32-bit range")
         object.__setattr__(self, "_gate_index", by_name)
         object.__setattr__(self, "_qubit_set", qubit_set)
+        object.__setattr__(self, "_delays", {})
 
     # ---------------------------------------------------------- lookups
 
     def has_qubit(self, q: QubitId) -> bool:
         return q in self._qubit_set
 
+    def _delay(self, name: str) -> GateDecl | None:
+        """The delay gate ``name`` names, synthesised on its first lookup."""
+        decl = self._delays.get(name)
+        if decl is None and self.delay_gates_enabled and (parsed := parse_delay_name(name)):
+            q, d = parsed
+            if self.has_qubit(q) and d >= 1:
+                decl = self._delays[name] = GateDecl(name, (q,), d)
+        return decl
+
     def delay_of(self, name: str) -> tuple[QubitId, int] | None:
         """Qubit and duration of the delay gate ``name`` synthesises, if any."""
-        parsed = parse_delay_name(name)
-        if parsed is None or not self.delay_gates_enabled:
-            return None
-        q, d = parsed
-        return parsed if self.has_qubit(q) and d >= 1 else None
+        decl = self._delay(name)
+        return None if decl is None else (decl.qubits[0], decl.duration)
 
     def find_gate(self, name: str) -> GateDecl | None:
         """Resolve a gate name, synthesising delay gates on demand."""
         decl = self._gate_index.get(name)
-        if decl is None and (delay := self.delay_of(name)) is not None:
-            q, d = delay
-            decl = GateDecl(name=name, qubits=(q,), duration=d)
-        return decl
+        return self._delay(name) if decl is None else decl
 
     def find_calibration(self, name: str) -> Calibration | None:
         cal = self.calibrations.get(name)
-        if cal is None and (delay := self.delay_of(name)) is not None:
-            q, d = delay
-            cal = Calibration(gate=name, samples={q: (0,) * d})
+        if cal is None and (decl := self._delay(name)) is not None:
+            cal = Calibration(name, {decl.qubits[0]: (0,) * decl.duration})
         return cal
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 
 from .chip import ChipSpec
 from .syntax import Judgement
-from .typecheck import check
+from .typecheck import check, premise_shifts
 
 
 class MissingCalibration(Exception):
@@ -102,34 +103,25 @@ def emit(j: Judgement, chip: ChipSpec) -> Schedule:
     stack = [(evidence, 0)]
     while stack:
         d, o = stack.pop()
-        match d.rule:
-            case "gate":
-                name = d.term.gate
-                decl = chip.find_gate(name)
-                if decl is None:
-                    raise ModelError(f"unknown gate {name!r}")
-                cal = chip.calibrations.get(name)
-                if cal is None and chip.delay_of(name) is None:
-                    raise MissingCalibration(name)
-                lo = o - decl.duration
-                for q in decl.qubits:
-                    if q not in writes:
-                        raise ModelError(f"gate {name!r} acts on {q!r}, which has no channel")
-                    writes[q].append((lo, o, None if cal is None else cal.samples[q]))
-                    provenance.append((name, q, lo, o))
-                stack += [(p, o - d.params[0]) for p in d.premises]
-            case "unit-elim" | "pair-elim" | "box-elim":
-                scrut, body = d.premises
-                shift = d.params[0] if d.rule != "box-elim" else d.params[1] - d.params[0]
-                stack += [(scrut, o + shift), (body, o)]
-            case "box-intro":
-                stack.append((d.premises[0], o + d.params[0]))
-            case "pair-intro":
-                stack += [(p, o) for p in d.premises]
-            case "var" | "unit-intro":
-                pass
-            case rule:
-                raise ModelError(f"unknown derivation rule {rule!r}")
+        if d.rule == "gate":
+            name = d.term.gate
+            decl = chip.find_gate(name)
+            if decl is None:
+                raise ModelError(f"unknown gate {name!r}")
+            cal = chip.calibrations.get(name)
+            if cal is None and chip.delay_of(name) is None:
+                raise MissingCalibration(name)
+            lo = o - decl.duration
+            for q in decl.qubits:
+                if q not in writes:
+                    raise ModelError(f"gate {name!r} acts on {q!r}, which has no channel")
+                writes[q].append((lo, o, None if cal is None else cal.samples[q]))
+                provenance.append((name, q, lo, o))
+        try:
+            shifts = premise_shifts(d)
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
+        stack += [(p, o + s) for p, s in zip(d.premises, shifts)]
 
     channels = tuple(
         Channel(q, starts[q], ends[q], _tile(q, starts[q], ends[q], writes[q]))
@@ -236,22 +228,53 @@ def validate(s: Schedule, j: Judgement) -> ValidationReport:
 # --------------------------------------------------------------- JSON I/O
 
 
+# The C encoder, which ``json.dumps`` skips when asked to indent, writes
+# each channel's samples one per line at their depth in the document.
+_SAMPLES = json.JSONEncoder(separators=(",\n" + " " * 8, ": "))
+_int = int.__repr__  # as json writes an int
+
+
 def to_json(s: Schedule) -> str:
-    doc = {
-        "channels": {
-            ch.qubit: {
-                "start_ns": ch.start,
-                "end_ns": ch.end,
-                "samples": list(ch.samples),
-            }
-            for ch in s.channels
-        },
-        "provenance": [
-            {"gate": gate, "qubit": qubit, "start_ns": start, "end_ns": end}
-            for gate, qubit, start, end in s.provenance
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` of the schedule.
+
+    ``doc`` maps each qubit (the last channel wins) to its ``start_ns``,
+    ``end_ns`` and ``samples``, and lists the provenance records.  Its
+    two-level layout is written directly.
+    """
+    by_qubit = {ch.qubit: ch for ch in s.channels}
+    channels = []
+    for q in sorted(by_qubit):
+        ch = by_qubit[q]
+        samples = _SAMPLES.encode(ch.samples)
+        if ch.samples:
+            samples = f"[\n        {samples[1:-1]}\n      ]"
+        channels.append(
+            f"    {_string(q)}: {{\n"
+            f'      "end_ns": {_int(ch.end)},\n'
+            f'      "samples": {samples},\n'
+            f'      "start_ns": {_int(ch.start)}\n'
+            "    }"
+        )
+    provenance = [
+        "    {\n"
+        f'      "end_ns": {_int(end)},\n'
+        f'      "gate": {_string(gate)},\n'
+        f'      "qubit": {_string(qubit)},\n'
+        f'      "start_ns": {_int(start)}\n'
+        "    }"
+        for gate, qubit, start, end in s.provenance
+    ]
+    return (
+        f'{{\n  "channels": {_block(channels, "{", "}")},\n'
+        f'  "provenance": {_block(provenance, "[", "]")}\n}}\n'
+    )
+
+
+def _block(items: list[str], open_: str, close: str) -> str:
+    """A second-level JSON object or array of already indented items."""
+    if not items:
+        return open_ + close
+    return f"{open_}\n" + ",\n".join(items) + f"\n  {close}"
 
 
 def from_json(text: str) -> Schedule:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..surface import print_context
 from ..syntax import Context, CtxEntry, Judgement
-from ..typecheck import Derivation
+from ..typecheck import Derivation, fill_contexts
 from .model import (
     Model,
     ModelError,
@@ -217,9 +218,15 @@ def _interp(d: Derivation, m: Model) -> Any:
 def interpret(j: Judgement, evidence: Derivation, m: Model) -> Any:
     """Interpret the judgement as a morphism [[ctx]] -> [[type]].
 
-    Raises ModelError when the result is not such a morphism, as for a
-    derivation whose grades disagree with its own context.
+    Raises ModelError when the derivation's context differs from the
+    judgement's in names or grades, or the result is not such a morphism.
     """
+    fill_contexts(evidence)  # every node's context, read below, in one pass
+    if {(e.name, e.grade) for e in evidence.ctx} != {(e.name, e.grade) for e in j.ctx}:
+        raise ModelError(
+            f"derivation's context ({print_context(evidence.ctx)}) differs from"
+            f" the judgement's ({print_context(j.ctx)})"
+        )
     mor = _interp(evidence, m)
     declared = context_shape(m, j.ctx)
     derived = context_shape(m, evidence.ctx)

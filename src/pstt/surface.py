@@ -20,6 +20,8 @@ Grammar sketch (``*`` on types is right-associative, ``[d]`` binds tighter)::
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .syntax import (
@@ -92,61 +94,78 @@ class SourceFile:
 # ------------------------------------------------------------------ lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | int | punct | eof
-    text: str
-    line: int
-    col: int
+# A token is ``(kind, text, offset)``; ``kind`` is ident, int, punct or
+# eof, and ``offset`` is the index in the source of its first character.
+_Token = tuple[str, str, int]
 
-
-_PUNCT = "()[],:^=*"
+# Whitespace and comments, then one token.  An ASCII int or identifier is
+# matched outright unless non-ASCII text follows it.  Any other run of
+# letters, digits and underscores, after an optional ``-``, goes to
+# ``_lex_word``: ``\w`` is exactly ``str.isalnum`` or ``_``, but ``\d`` and
+# ``[^\W\d]`` are not ``str.isdigit`` and ``str.isalpha`` beyond ASCII.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|#[^\n]*)*"
+    r"(?:(-?[0-9]+)(?![0-9]|[^\x00-\x7f])"
+    r"|([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_]|[^\x00-\x7f])"
+    r"|([()\[\],:^=*])"
+    r"|(-?\w+)"
+    r"|(.)"
+    r"|\Z)"
+)
+_KINDS = (None, "int", "ident", "punct")
 
 
 def _lex(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(Diagnostic("error", f"unexpected character {ch!r}", line, col))
-    toks.append(_Token("eof", "", line, col))
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        if k is None:
+            break
+        if k < 4:
+            toks.append((_KINDS[k], m.group(k), m.start(k)))
+        elif k == 4:
+            toks += _lex_word(text, m.start(4), m.end(4))
+        else:
+            raise _unexpected(text, m.start(5))
+    # The end of input sits after the last token, or on a comment that ends the text.
+    last_line = max(text.rfind("\n", m.start()) + 1, m.start())
+    comment = text.find("#", last_line)
+    toks.append(("eof", "", len(text) if comment < 0 else comment))
     return toks
+
+
+def _lex_word(text: str, i: int, end: int) -> list[_Token]:
+    """Tokens of ``text[i:end]``, a run of letters, digits and underscores
+    after an optional ``-``, classified by ``str.isalpha``/``isdigit``."""
+    toks: list[_Token] = []
+    while i < end:
+        ch = text[i]
+        if ch.isalpha() or ch == "_":
+            toks.append(("ident", text[i:end], i))
+            break
+        if not (ch.isdigit() or (ch == "-" and i + 1 < end and text[i + 1].isdigit())):
+            raise _unexpected(text, i)
+        j = i + 1
+        while j < end and text[j].isdigit():
+            j += 1
+        toks.append(("int", text[i:j], i))
+        i = j
+    return toks
+
+
+def _unexpected(text: str, i: int) -> ParseError:
+    line, col = _line_col(_line_starts(text), i)
+    return ParseError(Diagnostic("error", f"unexpected character {text[i]!r}", line, col))
+
+
+def _line_starts(text: str) -> list[int]:
+    return [0, *(m.end() for m in re.finditer("\n", text))]
+
+
+def _line_col(starts: list[int], offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``, given the offsets where lines start."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 # ----------------------------------------------------------------- parser
@@ -154,54 +173,64 @@ def _lex(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _lex(text)
         self.pos = 0
+        self._starts: list[int] | None = None
+
+    def line_col(self, tok: _Token) -> tuple[int, int]:
+        if self._starts is None:
+            self._starts = _line_starts(self.text)
+        return _line_col(self._starts, tok[2])
 
     def peek(self, ahead: int = 0) -> _Token:
+        if not ahead:  # ``next`` never moves past the eof token
+            return self.toks[self.pos]
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def next(self) -> _Token:
         tok = self.toks[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def fail(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(Diagnostic("error", message, tok.line, tok.col))
+        line, col = self.line_col(tok or self.peek())
+        return ParseError(Diagnostic("error", message, line, col))
 
     def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == ch:
+        kind, text, _ = self.peek()
+        if kind == "punct" and text == ch:
             return self.next()
-        raise self.fail(f"expected {ch!r}, found {tok.text or 'end of input'!r}")
+        raise self.fail(f"expected {ch!r}, found {text or 'end of input'!r}")
 
     def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == word:
+        kind, text, _ = self.peek()
+        if kind == "ident" and text == word:
             return self.next()
-        raise self.fail(f"expected {word!r}, found {tok.text or 'end of input'!r}")
+        raise self.fail(f"expected {word!r}, found {text or 'end of input'!r}")
 
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
-            return self.next()
-        raise self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+    def expect_ident(self, what: str = "identifier") -> str:
+        kind, text, _ = self.peek()
+        if kind == "ident" and text not in _KEYWORDS:
+            self.next()
+            return text
+        raise self.fail(f"expected {what}, found {text or 'end of input'!r}")
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, text, _ = self.peek()
+        if kind == "int":
             self.next()
-            return int(tok.text)
-        raise self.fail(f"expected integer, found {tok.text or 'end of input'!r}")
+            return int(text)
+        raise self.fail(f"expected integer, found {text or 'end of input'!r}")
 
     def at_punct(self, ch: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == "punct" and tok.text == ch
+        kind, text, _ = self.peek(ahead)
+        return kind == "punct" and text == ch
 
     def at_keyword(self, word: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == "ident" and tok.text == word
+        kind, text, _ = self.peek(ahead)
+        return kind == "ident" and text == word
 
     # types ------------------------------------------------------------
 
@@ -215,27 +244,27 @@ class _Parser:
         frames: list[tuple[str, object]] = []
         while True:
             # Read box prefixes and parentheses until an atom completes a type.
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "[":
+            kind, text, _ = self.peek()
+            if kind == "punct" and text == "[":
                 self.next()
                 grade = self.expect_int()
                 self.expect_punct("]")
                 frames.append(("box", grade))
                 continue
-            if tok.kind == "punct" and tok.text == "(":
+            if kind == "punct" and text == "(":
                 self.next()
                 frames.append(("paren", None))
                 continue
-            if tok.kind == "int":
-                if tok.text != "1":
-                    raise self.fail(f"the only numeric type is 1, found {tok.text!r}")
+            if kind == "int":
+                if text != "1":
+                    raise self.fail(f"the only numeric type is 1, found {text!r}")
                 self.next()
                 ty: TypeExpr = Unit()
-            elif tok.kind == "ident" and tok.text not in _KEYWORDS:
+            elif kind == "ident" and text not in _KEYWORDS:
                 self.next()
-                ty = Qubit(tok.text)
+                ty = Qubit(text)
             else:
-                raise self.fail(f"expected a type, found {tok.text or 'end of input'!r}")
+                raise self.fail(f"expected a type, found {text or 'end of input'!r}")
 
             # Hand the finished type outward until a frame needs another one.
             while True:
@@ -264,27 +293,27 @@ class _Parser:
         frames: list[list] = []
         while True:
             # Read prefixes until an atom completes a term.
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text == "let":
+            kind, text, _ = self.peek()
+            if kind == "ident" and text == "let":
                 frames.append(self.parse_let_head())
                 continue
-            if tok.kind == "ident" and tok.text == "box":
+            if kind == "ident" and text == "box":
                 self.next()
                 self.expect_punct("[")
                 grade = self.expect_int()
                 self.expect_punct("]")
                 frames.append(["box", grade])
                 continue
-            if tok.kind == "punct" and tok.text == "*":
+            if kind == "punct" and text == "*":
                 self.next()
                 term: TermExpr = Star()
-            elif tok.kind == "ident" and tok.text not in _KEYWORDS:
+            elif kind == "ident" and text not in _KEYWORDS:
                 self.next()
-                name = tok.text
+                name = text
                 if self.at_punct("["):
                     # delay-style gate reference: name[qubit,int]
                     self.next()
-                    q = self.expect_ident("qubit").text
+                    q = self.expect_ident("qubit")
                     self.expect_punct(",")
                     d = self.expect_int()
                     self.expect_punct("]")
@@ -297,12 +326,12 @@ class _Parser:
                     frames.append(["args", name, []])
                     continue
                 term = Var(name)
-            elif tok.kind == "punct" and tok.text == "(":
+            elif kind == "punct" and text == "(":
                 self.next()
                 frames.append(["paren"])
                 continue
             else:
-                raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+                raise self.fail(f"expected a term, found {text or 'end of input'!r}")
 
             # Hand the finished term outward until a frame needs another one.
             while frames:
@@ -350,14 +379,14 @@ class _Parser:
             self.expect_punct("[")
             grade = self.expect_int()
             self.expect_punct("]")
-            x = self.expect_ident("binder").text
+            x = self.expect_ident("binder")
             self.expect_punct("=")
             return ["let", lambda s, b: LetBox(grade, x, s, b)]
         if self.at_punct("("):
             self.next()
-            x = self.expect_ident("binder").text
+            x = self.expect_ident("binder")
             self.expect_punct(",")
-            y = self.expect_ident("binder").text
+            y = self.expect_ident("binder")
             self.expect_punct(")")
             if x == y:
                 raise self.fail(f"pair binders must be distinct, got {x!r} twice")
@@ -372,12 +401,13 @@ class _Parser:
         if self.at_punct(")"):
             return ()
         while True:
-            name_tok = self.expect_ident("context variable")
+            name_tok = self.peek()
+            name = self.expect_ident("context variable")
             self.expect_punct(":")
             self.expect_punct("^")
             grade = self.expect_int()
             ty = self.parse_type()
-            entries.append(CtxEntry(name_tok.text, grade, ty))
+            entries.append(CtxEntry(name, grade, ty))
             if self.at_punct(","):
                 self.next()
                 continue
@@ -390,9 +420,9 @@ class _Parser:
     def parse_file(self) -> SourceFile:
         decls: list[Declaration] = []
         names: set[str] = set()
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             kw = self.expect_keyword("schedule")
-            name = self.expect_ident("schedule name").text
+            name = self.expect_ident("schedule name")
             if name in names:
                 raise self.fail(f"duplicate declaration {name!r}", kw)
             names.add(name)
@@ -403,7 +433,7 @@ class _Parser:
             ty = self.parse_type()
             self.expect_punct("=")
             term = self.parse_term()
-            decls.append(Declaration(name, ctx, ty, term, kw.line, kw.col))
+            decls.append(Declaration(name, ctx, ty, term, *self.line_col(kw)))
         return SourceFile(tuple(decls))
 
 
@@ -415,16 +445,16 @@ def parse(text: str) -> SourceFile:
 def parse_term(text: str) -> TermExpr:
     p = _Parser(text)
     term = p.parse_term()
-    if p.peek().kind != "eof":
-        raise p.fail(f"trailing input after term: {p.peek().text!r}")
+    if p.peek()[0] != "eof":
+        raise p.fail(f"trailing input after term: {p.peek()[1]!r}")
     return term
 
 
 def parse_type(text: str) -> TypeExpr:
     p = _Parser(text)
     ty = p.parse_type()
-    if p.peek().kind != "eof":
-        raise p.fail(f"trailing input after type: {p.peek().text!r}")
+    if p.peek()[0] != "eof":
+        raise p.fail(f"trailing input after type: {p.peek()[1]!r}")
     return ty
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chip import ChipSpec, GateDecl
 from .surface import print_term, print_type
@@ -191,7 +192,6 @@ class _Node:
     offsets: dict[str, Affine]
     params: tuple = ()
     children: list["_Node"] = field(default_factory=list)
-    binders: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -409,12 +409,12 @@ class _Synth:
             e = self.solver.resolve(ex)
             shifted = {n: a.add(e) for n, a in ns.offsets.items()}
             offsets = self.merge(shifted, nb.offsets, t)
-            return _Node(t, nb.type, "pair-elim", offsets, (e,), nodes, names)
+            return _Node(t, nb.type, "pair-elim", offsets, (e,), nodes)
 
         e = self.solver.resolve(nb.offsets.pop(t.x))
         shifted = {n: a.add(e.shift(-t.grade)) for n, a in ns.offsets.items()}
         offsets = self.merge(shifted, nb.offsets, t)
-        return _Node(t, nb.type, "box-elim", offsets, (t.grade, e), nodes, names)
+        return _Node(t, nb.type, "box-elim", offsets, (t.grade, e), nodes)
 
 
 
@@ -436,19 +436,94 @@ def synthesize(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> Offs
 
 @dataclass(frozen=True)
 class Derivation:
-    """Checked derivation node: term, type, context and solved grades.
+    """Checked derivation node: term, type, rule and solved grades.
 
     ``params`` holds the rule's grade data: unit-elim ``(d,)``, gate
     ``(duration,)``, pair-elim ``(d,)``, box-intro ``(d,)``, box-elim
-    ``(d, e)``; empty otherwise.
+    ``(d, e)``; empty otherwise.  ``ctx``, the node's context, is derived
+    from these on first read.
     """
 
     term: TermExpr
     type: TypeExpr
-    ctx: Context
     rule: str
     params: tuple[int, ...]
     premises: tuple["Derivation", ...]
+
+    @cached_property
+    def ctx(self) -> Context:
+        """The subtree's free variables, left to right.
+
+        Each is at the sum of the premise shifts on its path; names that a
+        let inside the subtree binds are dropped.
+        """
+        entries: list[CtxEntry] = []
+        bound: dict[str, int] = {}  # name -> lets binding it around the current node
+        stack: list[tuple] = [(self, 0)]  # (node, grade), or (+1/-1, names) around a let body
+        while stack:
+            d, o = stack.pop()
+            if type(d) is int:
+                for x in o:
+                    bound[x] = bound.get(x, 0) + d
+            elif d.rule == "var":
+                if not bound.get(d.term.name):
+                    entries.append(CtxEntry(d.term.name, o, d.type))
+            elif d.premises:
+                shifted = [(p, o + s) for p, s in zip(d.premises, premise_shifts(d))]
+                names = binders(d.term)
+                if names:  # bound over the last premise, the let's body
+                    shifted[-1:] = [(1, names), shifted[-1], (-1, names)]
+                stack += reversed(shifted)
+        return tuple(entries)
+
+
+def premise_shifts(d: Derivation) -> tuple[int, ...]:
+    """How far after ``d``'s result each premise's result lies in time.
+
+    A premise's context grades are its node's plus this shift, and a
+    premise of a node finishing at ``o`` finishes at ``o`` plus it.
+    """
+    rule, params = d.rule, d.params
+    if rule == "gate":
+        return (-params[0],) * len(d.premises)
+    if rule == "unit-elim" or rule == "pair-elim":
+        return (params[0], 0)
+    if rule == "box-elim":
+        return (params[1] - params[0], 0)
+    if rule == "box-intro":
+        return (params[0],)
+    if rule in ("pair-intro", "var", "unit-intro"):
+        return (0,) * len(d.premises)
+    raise ValueError(f"unknown derivation rule {rule!r}")
+
+
+def fill_contexts(root: Derivation) -> None:
+    """Cache the context of every node under ``root``, bottom-up in one pass.
+
+    A node's context is its premises' contexts, each shifted by its premise
+    shift, without the names a let binds over its body.  This is for readers
+    of every node's context, such as ``interpret``: first reads from the top
+    down would walk each subtree again.
+    """
+    stack: list[tuple[Derivation, bool]] = [(root, False)]
+    while stack:
+        d, ready = stack.pop()
+        if not ready:
+            stack.append((d, True))
+            stack += [(p, False) for p in d.premises]
+            continue
+        if d.rule == "var":
+            ctx: Context = (CtxEntry(d.term.name, 0, d.type),)
+        else:
+            last = len(d.premises) - 1
+            names = binders(d.term)  # bound over the last premise, the let's body
+            ctx = tuple(
+                e if not s else CtxEntry(e.name, e.grade + s, e.type)
+                for i, (p, s) in enumerate(zip(d.premises, premise_shifts(d)))
+                for e in p.ctx
+                if i < last or e.name not in names
+            )
+        d.__dict__["ctx"] = ctx
 
 
 def _elaborate(root: _Node, solver: _Solver, assignment: dict[int, int]) -> Derivation:
@@ -469,41 +544,7 @@ def _elaborate(root: _Node, solver: _Solver, assignment: dict[int, int]) -> Deri
         premises = tuple(done[len(done) - n :])
         del done[len(done) - n :]
         params = tuple(grade_of(p) if isinstance(p, Affine) else p for p in node.params)
-
-        match node.rule:
-            case "var":
-                ctx: tuple[CtxEntry, ...] = (CtxEntry(node.term.name, 0, node.type),)
-            case "unit-intro":
-                ctx = ()
-            case "pair-intro" | "gate":
-                ctx = tuple(e for p in premises for e in p.ctx)
-                if node.rule == "gate":
-                    d = params[0]
-                    ctx = tuple(CtxEntry(e.name, e.grade - d, e.type) for e in ctx)
-            case "unit-elim":
-                d = params[0]
-                scrut, body = premises
-                ctx = tuple(CtxEntry(e.name, e.grade + d, e.type) for e in scrut.ctx) + body.ctx
-            case "pair-elim":
-                e_grade = params[0]
-                scrut, body = premises
-                ctx = tuple(
-                    CtxEntry(e.name, e.grade + e_grade, e.type) for e in scrut.ctx
-                ) + tuple(en for en in body.ctx if en.name not in node.binders)
-            case "box-intro":
-                d = params[0]
-                (body,) = premises
-                ctx = tuple(CtxEntry(e.name, e.grade + d, e.type) for e in body.ctx)
-            case "box-elim":
-                d, e_grade = params
-                scrut, body = premises
-                ctx = tuple(
-                    CtxEntry(en.name, en.grade + e_grade - d, en.type) for en in scrut.ctx
-                ) + tuple(en for en in body.ctx if en.name != node.binders[0])
-            case _:
-                raise AssertionError(node.rule)
-
-        done.append(Derivation(node.term, node.type, ctx, node.rule, params, premises))
+        done.append(Derivation(node.term, node.type, node.rule, params, premises))
     return done[0]
 
 

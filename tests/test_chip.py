@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pstt import ChipError, delay_gate, parse_chip_spec
+from pstt import ChipError, GateDecl, delay_gate, parse_chip_spec
 
 CHIP_MIN = json.dumps(
     {
@@ -158,3 +158,28 @@ def test_delay_gates_can_be_disabled():
     assert chip.find_gate("delay[q1,5]") is None
     with pytest.raises(ChipError, match="disabled"):
         delay_gate(chip, "q1", 5)
+
+
+def test_delay_gate_lookups_return_one_object_per_name(chip0):
+    decl = chip0.find_gate("delay[q1,13]")
+    cal = chip0.find_calibration("delay[q1,13]")
+    assert chip0.find_gate("delay[q1,13]") is decl
+    # calibrations are built afresh, so no caller can change another's samples
+    assert chip0.find_calibration("delay[q1,13]") is not cal
+    assert decl == GateDecl("delay[q1,13]", ("q1",), 13)
+    assert cal.samples == {"q1": (0,) * 13}
+    assert chip0.delay_of("delay[q1,13]") == ("q1", 13)
+    assert chip0.find_gate("delay[q1,14]") is not decl
+
+
+def test_invalid_delays_still_resolve_to_nothing(chip0):
+    for name in ("delay[q9,5]", "delay[q1,0]", "delay[q1,-3]", "delay[q1,5", "Delay[q1,5]"):
+        for _ in range(2):
+            assert chip0.find_gate(name) is None
+            assert chip0.find_calibration(name) is None
+            assert chip0.delay_of(name) is None
+    disabled = parse_chip_spec(json.dumps({"qubits": ["q1"], "delay_gates_enabled": False}))
+    for _ in range(2):
+        assert disabled.find_gate("delay[q1,5]") is None
+        assert disabled.find_calibration("delay[q1,5]") is None
+        assert disabled.delay_of("delay[q1,5]") is None

@@ -13,6 +13,7 @@ were made iterative, so any change in their behaviour shows here.
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -93,8 +94,17 @@ def test_chain_of_ten_thousand_gates(chip0):
 def test_spine_of_two_thousand_unit_lets(chip0):
     text = units_source(2_000)
     j = parse(text).declarations[0].judgement
-    check(j, chip0)
-    schedule = emit(j, chip0)
+    # No derivation node keeps a context, so checking and emitting a let
+    # spine take memory linear in its length.
+    tracemalloc.start()
+    try:
+        evidence = check(j, chip0)
+        schedule = emit(j, chip0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert {e.name for e in evidence.ctx} == {e.name for e in j.ctx}
     assert validate(schedule, j).passed
     printed = print_term(j.term)
     assert text.endswith(f" = {printed}\n")
