@@ -28,6 +28,7 @@ from .schedule import (
     Channel,
     MissingCalibration,
     Schedule,
+    Unschedulable,
     ValidationReport,
     emit,
     from_json,
@@ -103,6 +104,6 @@ __all__ = [
     "BudgetExceeded", "EqKind", "EqVerdict", "NormalForm",
     "judgementally_equal", "normalize",
     # schedule
-    "Channel", "MissingCalibration", "Schedule", "ValidationReport",
+    "Channel", "MissingCalibration", "Schedule", "Unschedulable", "ValidationReport",
     "emit", "from_json", "to_json", "validate",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user error (parse/type/validation failure, or
-an input too large for the available stack or memory), 2 internal
-invariant breach.
+Exit codes: 0 success, 1 user error (parse/type/validation failure, a
+judgement with no schedule on the chip, or an input too large for the
+available stack or memory), 2 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .chip import ChipError, ChipSpec, parse_chip_spec
 from .equality import BudgetExceeded, EqKind, judgementally_equal, normalize
-from .schedule import emit, to_json, validate
+from .schedule import Unschedulable, emit, to_json, validate
 from .surface import (
     ParseError,
     SourceFile,
@@ -163,7 +163,7 @@ def _cmd_emit(args, out) -> int:
         raise _Fail(f"no declaration named {exc.args[0]!r}") from exc
     try:
         schedule = emit(decl.judgement, chip)
-    except TypingError as exc:
+    except (TypingError, Unschedulable) as exc:
         raise _Fail(str(exc)) from exc
     report = validate(schedule, decl.judgement)
     if not report.passed:

@@ -550,7 +550,9 @@ class EqVerdict:
     NOT_EQUAL_NORMAL_FORM is reserved: a normal-form mismatch alone never
     proves inequality (the oriented system is not known complete), so the
     engine reports semantically refuted pairs as NOT_EQUAL_SEMANTICS and
-    everything else unresolved as UNKNOWN with a reason.
+    everything else unresolved as UNKNOWN with a reason.  A refutation's
+    ``witness`` is the two sides' emitted ``Schedule``s; their provenance
+    locates the gates behind the first differing sample.
     """
 
     kind: EqKind
@@ -572,13 +574,18 @@ def judgementally_equal(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> EqVerdict:
-    """Decide ``ctx |- s = t : type``; both sides must already check."""
-    from .schedule import MissingCalibration
-    from .semantics import PulseModel, interpret
+    """Decide ``ctx |- s = t : type``; both sides must already check.
+
+    Alpha-equal normal forms answer EQUAL.  Otherwise both sides are
+    emitted: they share the context and the type, hence every channel's
+    interval, so different channels refute the equation.  A side with no
+    schedule on ``chip`` answers UNKNOWN (semantics unavailable).
+    """
+    from .schedule import Unschedulable, emit
     from .typecheck import check
 
-    ev_s = check(Judgement(ctx, s, type_), chip)
-    ev_t = check(Judgement(ctx, t, type_), chip)
+    check(Judgement(ctx, s, type_), chip)
+    check(Judgement(ctx, t, type_), chip)
 
     try:
         nf_s = normalize(s, budget=budget, context=ctx, result_type=type_, chip=chip)
@@ -590,13 +597,12 @@ def judgementally_equal(
     if alpha_eq(nf_s.term, nf_t.term):
         return EqVerdict(EqKind.EQUAL, trace=traces)
 
-    model = PulseModel(chip)
     try:
-        f = interpret(Judgement(ctx, s, type_), ev_s, model)
-        g = interpret(Judgement(ctx, t, type_), ev_t, model)
-    except MissingCalibration:
+        f = emit(Judgement(ctx, s, type_), chip)
+        g = emit(Judgement(ctx, t, type_), chip)
+    except Unschedulable:
         return EqVerdict(EqKind.UNKNOWN, trace=traces, reason="semantics unavailable")
-    if not model.mor_eq(f, g):
+    if f.channels != g.channels:
         return EqVerdict(EqKind.NOT_EQUAL_SEMANTICS, trace=traces, witness=(f, g))
     return EqVerdict(
         EqKind.UNKNOWN, trace=traces, reason="normal forms differ, semantics agree"

@@ -14,11 +14,21 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 
 from .chip import ChipSpec
-from .syntax import Judgement
+from .semantics import ModelError, type_pulse_object
+from .syntax import Judgement, TypeExpr
 from .typecheck import check, premise_shifts
 
 
-class MissingCalibration(Exception):
+class Unschedulable(ModelError):
+    """A judgement that checks but has no schedule on this chip.
+
+    Its context or type names a qubit twice, it names a qubit the chip
+    lacks, or one of its gates has no calibration.  These are user errors;
+    a plain ``ModelError`` is an internal invariant breach.
+    """
+
+
+class MissingCalibration(Unschedulable):
     def __init__(self, gate: str):
         super().__init__(f"gate {gate!r} has no calibration")
         self.gate = gate
@@ -79,7 +89,12 @@ class ValidationReport:
 
 
 def emit(j: Judgement, chip: ChipSpec) -> Schedule:
-    """Place every gate's calibration of a checked judgement on its channels.
+    """Place every gate's calibration of a judgement on its channels.
+
+    ``emit`` checks ``j`` itself and raises ``TypingError`` when it does
+    not check, and ``Unschedulable`` when it checks but has no schedule on
+    ``chip``.  It is the package's only pulse evaluator at run time:
+    ``judgementally_equal`` refutes by comparing emitted schedules.
 
     One walk over the derivation carries the absolute time ``o`` at which
     the current subterm finishes; a gate finishing at ``o`` writes its
@@ -87,15 +102,13 @@ def emit(j: Judgement, chip: ChipSpec) -> Schedule:
     pulse model's action gives the generic interpreter, which remains the
     reference: ``interpret`` in ``PulseModel`` yields the same channels.
     """
-    from .semantics import ModelError
-
     evidence = check(j, chip)
     starts, ends = _channel_grades(j)
     if starts.keys() != ends.keys():
         raise ModelError(f"context qubits {sorted(starts)} differ from type qubits {sorted(ends)}")
     for q in starts:
         if not chip.has_qubit(q):
-            raise ModelError(f"unknown qubit {q!r}")
+            raise Unschedulable(f"unknown qubit {q!r}")
 
     # per qubit: (start, end, samples) written; None samples are a delay
     writes: dict[str, list[tuple[int, int, tuple[int, ...] | None]]] = {q: [] for q in starts}
@@ -135,8 +148,6 @@ def _tile(
     qubit: str, start: int, end: int, writes: list[tuple[int, int, tuple[int, ...] | None]]
 ) -> tuple[int, ...]:
     """Samples of ``[start, end)`` from writes that must tile it exactly."""
-    from .semantics import ModelError
-
     buf = [0] * (end - start)
     at = start
     for lo, hi, samples in sorted(writes, key=lambda w: (w[0], w[1])):
@@ -153,17 +164,26 @@ def _tile(
 
 def _channel_grades(j: Judgement) -> tuple[dict[str, int], dict[str, int]]:
     """Per-qubit start grades from the context, end grades from the type."""
-    from .semantics import ModelError, type_pulse_object
-
     starts: dict[str, int] = {}
+    owners: dict[str, str] = {}
     for entry in j.ctx:
-        obj = type_pulse_object(entry.type)
-        for g, q in obj.entries:
+        for g, q in _layout(entry.type, f"context entry {entry.name}"):
             if q in starts:
-                raise ModelError(f"qubit collision in context: {q}")
+                raise Unschedulable(
+                    f"qubit {q} is named twice in the context: by {owners[q]} and by {entry.name}"
+                )
             starts[q] = g + entry.grade
-    ends = {q: g for g, q in type_pulse_object(j.type).entries}
+            owners[q] = entry.name
+    ends = {q: g for g, q in _layout(j.type, "type")}
     return starts, ends
+
+
+def _layout(ty: TypeExpr, where: str) -> tuple[tuple[int, str], ...]:
+    """The (grade, qubit) channels of a type that names each qubit once."""
+    try:
+        return type_pulse_object(ty).entries
+    except ModelError as exc:
+        raise Unschedulable(f"{where}: {exc}") from None
 
 
 def _expected_spans(j: Judgement) -> dict[str, tuple[int, int]]:

@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,20 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_path():
     return FIXTURES / "corpus.pstt"
+
+
+@pytest.fixture
+def forbid_interpreter(monkeypatch):
+    """Call it to make ``interpret`` and ``PulseModel`` raise wherever reached."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the generic interpreter was reached")
+
+    def install():
+        semantics = importlib.import_module("pstt.semantics")
+        monkeypatch.setattr(semantics, "interpret", unreachable)
+        module = importlib.import_module("pstt.semantics.interpret")
+        monkeypatch.setattr(module, "interpret", unreachable)
+        monkeypatch.setattr(semantics.PulseModel, "__init__", unreachable)
+
+    return install

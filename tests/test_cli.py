@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+import pstt.cli
 from pstt import from_json, parse, validate
 from pstt.cli import run
 
@@ -82,9 +85,9 @@ def test_eq_subcommand(tmp_path, chip0_path):
     assert "NotEqualBySemantics" in out
 
 
-def test_eq_reports_a_resource_limit_as_a_user_error(tmp_path, chip0_path):
-    # Both chains parse, check and normalize; the semantic refutation of
-    # their different normal forms then runs out of stack.
+def test_eq_reports_a_resource_limit_as_a_user_error(tmp_path, chip0_path, monkeypatch):
+    # Both chains parse, check and normalize; their different normal forms
+    # are then refuted by comparing emitted schedules, with no deep stack.
     n = 1200
     other = "H1(" * (n // 2) + "K1(" + "H1(" * (n // 2 - 1) + "x" + ")" * n
     src = tmp_path / "chains.pstt"
@@ -92,11 +95,108 @@ def test_eq_reports_a_resource_limit_as_a_user_error(tmp_path, chip0_path):
         f"schedule a (x:^{-20 * n} q1) : q1 = {'H1(' * n}x{')' * n}\n"
         f"schedule b (x:^{-20 * n} q1) : q1 = {other}\n"
     )
+    argv = ("eq", str(src), "--chip", str(chip0_path), "--name", "a", "--name", "b")
+    code, out, err = invoke(*argv)
+    assert (code, out, err) == (0, "a = b: NotEqualBySemantics\n", "")
+
+    # Running out of stack or memory inside eq is still a user error.
+    for exc in (RecursionError, MemoryError):
+
+        def exhausted(*args, exc=exc, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(pstt.cli, "judgementally_equal", exhausted)
+        code, out, err = invoke(*argv)
+        assert code == 1
+        assert f"resource limit exceeded: {exc.__name__}" in err
+
+
+UNCALIBRATED_CHIP = {
+    "qubits": ["q1"],
+    "gates": [
+        {"name": "G", "qubits": ["q1"], "duration_ns": 20},
+        {"name": "H1", "qubits": ["q1"], "duration_ns": 20},
+    ],
+    "calibrations": {"H1": {"q1": list(range(20))}},
+}
+
+
+@pytest.mark.parametrize(
+    "source, chip_doc, message",
+    [
+        (
+            "schedule a (x:^-20 q1, y:^-20 q1) : q1 * q1 = (H1(x), H1(y))\n"
+            "schedule b (x:^-20 q1, y:^-20 q1) : q1 * q1 = (H1(x), K1(y))\n",
+            None,
+            "qubit q1 is named twice in the context: by x and by y",
+        ),
+        (
+            "schedule a (x:^-20 q1, y:^0 q9) : q1 * q9 = (H1(x), y)\n"
+            "schedule b (x:^-20 q1, y:^0 q9) : q1 * q9 = (K1(x), y)\n",
+            None,
+            "unknown qubit 'q9'",
+        ),
+        (
+            "schedule a (x:^-20 q1) : q1 = G(x)\n"
+            "schedule b (x:^-20 q1) : q1 = H1(x)\n",
+            UNCALIBRATED_CHIP,
+            "gate 'G' has no calibration",
+        ),
+    ],
+    ids=["repeated-qubit", "unknown-qubit", "missing-calibration"],
+)
+def test_a_judgement_without_a_schedule_is_a_user_error(
+    tmp_path, chip0_path, source, chip_doc, message
+):
+    src = tmp_path / "s.pstt"
+    src.write_text(source)
+    chip = chip0_path
+    if chip_doc is not None:
+        chip = tmp_path / "chip.json"
+        chip.write_text(json.dumps(chip_doc))
+    code, out, _ = invoke("check", str(src), "--chip", str(chip))
+    assert (code, out) == (0, "a: ok\nb: ok\n")
+
     code, out, err = invoke(
-        "eq", str(src), "--chip", str(chip0_path), "--name", "a", "--name", "b"
+        "emit", str(src), "--chip", str(chip), "--name", "a", "-o", str(tmp_path / "a.json")
     )
-    assert code == 1
-    assert "resource limit exceeded" in err
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "a.json").exists()
+
+    code, out, err = invoke("eq", str(src), "--chip", str(chip), "--name", "a", "--name", "b")
+    assert (code, out, err) == (0, "a = b: Unknown (semantics unavailable)\n", "")
+
+
+def test_no_command_reaches_the_generic_interpreter(
+    tmp_path, chip0_path, corpus_path, corpus, forbid_interpreter
+):
+    pair = tmp_path / "pair.pstt"
+    pair.write_text(
+        "schedule h (x:^-20 q1) : q1 = H1(x)\nschedule k (x:^-20 q1) : q1 = K1(x)\n"
+    )
+    schedule = tmp_path / "s.json"
+    commands = [
+        (cmd, str(corpus_path), "--chip", str(chip0_path))
+        for cmd in ("check", "infer", "normalize")
+    ]
+    commands += [
+        ("emit", str(corpus_path), "--chip", str(chip0_path), "--name", d.name, "-o", str(schedule))
+        for d in corpus.declarations
+    ]
+    commands.append(("eq", str(pair), "--chip", str(chip0_path), "--name", "h", "--name", "k"))
+
+    def outputs():
+        for argv in commands:
+            schedule.unlink(missing_ok=True)
+            code, out, _ = invoke(*argv)
+            yield code, out, schedule.read_bytes() if schedule.exists() else None
+
+    expected = list(outputs())
+    assert expected[-1][:2] == (0, "h = k: NotEqualBySemantics\n")
+
+    forbid_interpreter()
+    assert list(outputs()) == expected
 
 
 def test_eq_requires_two_names(chip0_path, corpus_path):
