@@ -299,18 +299,19 @@ def gen_single_var_judgement(
 def node_types(
     term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec
 ) -> dict[tuple[int, ...], TypeExpr]:
-    """Type of every subterm by path, read off the checker's synthesis tree.
+    """Type of every subterm by path, read off the checker's derivation.
 
-    Context grades are ignored; a term the synthesis rejects (a non-linear
-    one, say) raises its TypingError.
+    A derivation's premises follow the term's children.  Context grades are
+    ignored; a term the synthesis rejects (a non-linear one, say) raises its
+    TypingError.
     """
-    root, _ = _synth(term, env, chip)
+    root, _, _ = _synth(term, env, chip)
     out: dict[tuple[int, ...], TypeExpr] = {}
     stack = [((), root)]
     while stack:
-        path, node = stack.pop()
-        out[path] = node.type
-        stack.extend((path + (i,), c) for i, c in enumerate(node.children))
+        path, d = stack.pop()
+        out[path] = d.type
+        stack.extend((path + (i,), p) for i, p in enumerate(d.premises))
     return out
 
 

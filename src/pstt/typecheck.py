@@ -3,17 +3,20 @@
 Grades of free variables are synthesised as affine expressions
 ``rigid + sum(slack variables)``: every unit-elimination node contributes one
 slack because its typing rule shifts the scrutinee's context by an arbitrary
-integer.  Checking a judgement then solves the resulting linear system
-against the declared grades; inference reports the slack-zero instance.
+integer.  One pass builds the derivation and collects the grade equations;
+checking a judgement then solves them against the declared grades, and
+inference reports the slack-zero instance.  Only a let's grades can depend
+on a slack: those lets are given their grades once the solver is done.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
-from .chip import ChipSpec, GateDecl
+from .chip import ChipSpec
 from .surface import print_term, print_type
 from .syntax import (
     Box,
@@ -151,8 +154,6 @@ class _Solver:
         diff = self.resolve(a).sub(self.resolve(b))
         if diff.is_const:
             return diff.const == 0
-        from math import gcd
-
         g = 0
         for _, c in diff.coeffs:
             g = gcd(g, abs(c))
@@ -176,22 +177,6 @@ class _Solver:
 
 
 # ------------------------------------------------------------- synthesis
-
-
-@dataclass
-class _Node:
-    """Per-subterm synthesis record mirroring the term tree.
-
-    ``children`` follow ``syntax.children`` of ``term``.  A node's
-    ``offsets`` map may be handed on to its parent and grown in place.
-    """
-
-    term: TermExpr
-    type: TypeExpr
-    rule: str
-    offsets: dict[str, Affine]
-    params: tuple = ()
-    children: list["_Node"] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -222,17 +207,25 @@ class OffsetReport:
         return {sid: frozenset(vs) for sid, vs in scopes.items()}
 
 
+_ZERO = Affine(0)
+
+
 class _Synth:
     def __init__(self, chip: ChipSpec):
         self.chip = chip
         self.solver = _Solver()
         self.slacks: list[int] = []
+        self.unsettled: list[Derivation] = []  # lets whose params still hold an Affine
+        self.gates: dict[str, tuple] = {}  # name -> gate(name, ...)
 
-    def gate_decl(self, name: str, loc: TermExpr) -> GateDecl:
+    def gate(self, name: str, loc: TermExpr) -> tuple:
+        """A gate's declaration, argument types, result type and params, built once."""
         decl = self.chip.find_gate(name)
         if decl is None:
             raise TypingError(ErrorKind.UNKNOWN_GATE, f"gate {name!r} is not declared", location=loc)
-        return decl
+        args = tuple(Qubit(q) for q in decl.qubits)
+        self.gates[name] = entry = (decl, args, tensor_of(args), (decl.duration,))
+        return entry
 
     def merge(self, a: dict[str, Affine], b: dict[str, Affine], loc: TermExpr) -> dict[str, Affine]:
         """Union of two offset maps, made by moving the smaller into the larger."""
@@ -253,15 +246,16 @@ class _Synth:
         b.update(a)
         return b
 
-    def visit(self, t: TermExpr, env: dict[str, TypeExpr]) -> _Node:
-        """Synthesise ``t`` with an explicit stack of unfinished nodes.
+    def visit(self, t: TermExpr, env: dict[str, TypeExpr]) -> tuple[Derivation, dict[str, Affine]]:
+        """Synthesise ``t``'s derivation and its free variables' offsets.
 
-        Checks run in term order: a gate's name and arity before its
-        arguments, a scrutinee's type before the body.  ``env`` gains a
-        let's binders once its scrutinee is typed and loses them when the
-        let is done.
+        An explicit stack holds the unfinished nodes.  Checks run in term
+        order: a gate's name and arity before its arguments, a scrutinee's
+        type before the body.  ``env`` gains a let's binders once its
+        scrutinee is typed and loses them when the let is done.  A node's
+        offsets map may be handed on to its parent and grown in place.
         """
-        frames: list[list] = []  # [term, its children, their nodes so far, gate decl or shadowed env]
+        frames: list[list] = []  # [term, kids, their derivations and offsets, gate or shadowed env]
         while True:
             cls = type(t)
             if cls is Var:
@@ -270,36 +264,38 @@ class _Synth:
                     raise TypingError(
                         ErrorKind.UNBOUND_VARIABLE, f"variable {t.name!r} is not in scope", location=t
                     )
-                node = _Node(t, ty, "var", {t.name: Affine.of(0)})
+                d, offsets = Derivation(t, ty, "var", (), ()), {t.name: _ZERO}
             elif cls is Star:
-                node = _Node(t, Unit(), "unit-intro", {})
+                d, offsets = Derivation(t, Unit(), "unit-intro", (), ()), {}
             else:
-                decl = None
+                extra = None
                 if cls is GateApp:
-                    decl = self.gate_decl(t.gate, t)
-                    if len(t.args) != len(decl.qubits):
+                    extra = self.gates.get(t.gate) or self.gate(t.gate, t)
+                    arity = len(extra[1])
+                    if len(t.args) != arity:
                         raise TypingError(
                             ErrorKind.GATE_MISMATCH,
-                            f"gate {t.gate!r} takes {len(decl.qubits)} argument(s), got {len(t.args)}",
+                            f"gate {t.gate!r} takes {arity} argument(s), got {len(t.args)}",
                             location=t,
                         )
                 kids = children(t)
-                frames.append([t, kids, [], decl])
+                frames.append([t, kids, [], [], extra])
                 t = kids[0]
                 continue
             # Hand the finished node to its parent until one needs another child.
             while frames:
-                parent, kids, done, extra = frame = frames[-1]
-                done.append(node)
+                parent, kids, done, offs, extra = frame = frames[-1]
+                done.append(d)
+                offs.append(offsets)
                 if len(done) < len(kids):
                     if len(done) == 1 and isinstance(parent, LETS):
-                        frame[3] = self.open_scope(parent, node.type, env)
+                        frame[4] = self.open_scope(parent, d.type, env)
                     t = kids[len(done)]
                     break
                 frames.pop()
-                node = self.finish(parent, done, extra, env)
+                d, offsets = self.finish(parent, done, offs, extra, env)
             else:
-                return node
+                return d, offsets
 
     def open_scope(self, t: TermExpr, ty: TypeExpr, env: dict[str, TypeExpr]) -> list:
         """Check a let's scrutinee type ``ty`` and bind its binders in ``env``.
@@ -340,39 +336,39 @@ class _Synth:
         env.update(bound)
         return shadowed
 
-    def finish(self, t: TermExpr, nodes: list[_Node], extra, env: dict[str, TypeExpr]) -> _Node:
-        """The node of ``t`` from its children's nodes."""
+    def finish(self, t: TermExpr, ds: list[Derivation], offs: list, extra, env: dict) -> tuple:
+        """The derivation and offsets of ``t`` from its children's."""
         cls = type(t)
         if cls is GateApp:
-            decl: GateDecl = extra
-            for node, q in zip(nodes, decl.qubits):
-                if node.type != Qubit(q):
+            decl, args, ty, params = extra
+            for d, q, arg in zip(ds, decl.qubits, args):
+                if d.type != arg:
                     raise TypingError(
                         ErrorKind.GATE_MISMATCH,
                         f"gate {t.gate!r} expects an argument of type {q},"
-                        f" got {print_type(node.type)}",
+                        f" got {print_type(d.type)}",
                         location=t,
-                        expected=Qubit(q),
-                        actual=node.type,
+                        expected=arg,
+                        actual=d.type,
                     )
-            offsets = nodes[0].offsets
-            for node in nodes[1:]:
-                offsets = self.merge(offsets, node.offsets, t)
+            offsets = offs[0]
+            for o in offs[1:]:
+                offsets = self.merge(offsets, o, t)
             offsets = {name: a.shift(-decl.duration) for name, a in offsets.items()}
-            ty = tensor_of([Qubit(q) for q in decl.qubits])
-            return _Node(t, ty, "gate", offsets, (decl.duration,), nodes)
+            return Derivation(t, ty, "gate", params, tuple(ds)), offsets
 
         if cls is Pair:
-            nl, nr = nodes
-            offsets = self.merge(nl.offsets, nr.offsets, t)
-            return _Node(t, Tensor(nl.type, nr.type), "pair-intro", offsets, (), nodes)
+            dl, dr = ds
+            offsets = self.merge(offs[0], offs[1], t)
+            return Derivation(t, Tensor(dl.type, dr.type), "pair-intro", (), (dl, dr)), offsets
 
         if cls is BoxIntro:
-            (nb,) = nodes
-            offsets = {n: a.shift(t.grade) for n, a in nb.offsets.items()}
-            return _Node(t, Box(t.grade, nb.type), "box-intro", offsets, (t.grade,), nodes)
+            (db,) = ds
+            offsets = {n: a.shift(t.grade) for n, a in offs[0].items()}
+            return Derivation(t, Box(t.grade, db.type), "box-intro", (t.grade,), (db,)), offsets
 
-        ns, nb = nodes
+        dsc, db = ds
+        osc, ob = offs
         for x, old in extra:
             if old is None:
                 del env[x]
@@ -383,13 +379,13 @@ class _Synth:
             sid = self.solver.fresh_slack()
             self.slacks.append(sid)
             slack = Affine.slack(sid)
-            shifted = {name: a.add(slack) for name, a in ns.offsets.items()}
-            offsets = self.merge(shifted, nb.offsets, t)
-            return _Node(t, nb.type, "unit-elim", offsets, (slack,), nodes)
+            shifted = {name: a.add(slack) for name, a in osc.items()}
+            offsets = self.merge(shifted, ob, t)
+            return self.let(t, db.type, "unit-elim", (slack,), (dsc, db)), offsets
 
         names = binders(t)
         for binder in names:
-            if binder not in nb.offsets:
+            if binder not in ob:
                 raise TypingError(
                     ErrorKind.UNUSED_CONTEXT_ENTRY,
                     f"binder {binder!r} is not used in the body",
@@ -397,7 +393,7 @@ class _Synth:
                 )
         if cls is LetPair:
             x, y = names
-            ex, ey = nb.offsets.pop(x), nb.offsets.pop(y)
+            ex, ey = ob.pop(x), ob.pop(y)
             if not self.solver.equate(ex, ey):
                 raise TypingError(
                     ErrorKind.GRADE_MISMATCH,
@@ -407,28 +403,46 @@ class _Synth:
                     location=t,
                 )
             e = self.solver.resolve(ex)
-            shifted = {n: a.add(e) for n, a in ns.offsets.items()}
-            offsets = self.merge(shifted, nb.offsets, t)
-            return _Node(t, nb.type, "pair-elim", offsets, (e,), nodes)
+            shifted = {n: a.add(e) for n, a in osc.items()}
+            offsets = self.merge(shifted, ob, t)
+            return self.let(t, db.type, "pair-elim", (e,), (dsc, db)), offsets
 
-        e = self.solver.resolve(nb.offsets.pop(t.x))
-        shifted = {n: a.add(e.shift(-t.grade)) for n, a in ns.offsets.items()}
-        offsets = self.merge(shifted, nb.offsets, t)
-        return _Node(t, nb.type, "box-elim", offsets, (t.grade, e), nodes)
+        e = self.solver.resolve(ob.pop(t.x))
+        shifted = {n: a.add(e.shift(-t.grade)) for n, a in osc.items()}
+        offsets = self.merge(shifted, ob, t)
+        return self.let(t, db.type, "box-elim", (t.grade, e), (dsc, db)), offsets
+
+    def let(self, t: TermExpr, ty: TypeExpr, rule: str, params: tuple, premises: tuple):
+        """A let's derivation: constant grades become ints, the rest wait for ``settle``."""
+        params = tuple(p.const if type(p) is Affine and p.is_const else p for p in params)
+        d = Derivation(t, ty, rule, params, premises)
+        if any(type(p) is Affine for p in params):
+            self.unsettled.append(d)
+        return d
+
+    def settle(self, assignment: dict[int, int]) -> None:
+        """Give the recorded lets their grades, free slacks at ``assignment`` or 0.
+
+        The derivation is not visible to anyone yet, so params are written in place.
+        """
+        resolve = self.solver.resolve
+        for d in self.unsettled:
+            params = tuple(p if type(p) is int else resolve(p).eval(assignment) for p in d.params)
+            object.__setattr__(d, "params", params)
 
 
-
-def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple[_Node, _Synth]:
+def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple:
+    """``term``'s derivation with its lets unsettled, its offsets, and the synthesiser."""
     synth = _Synth(chip)
-    node = synth.visit(term, dict(env))
-    return node, synth
+    derivation, offsets = synth.visit(term, dict(env))
+    return derivation, offsets, synth
 
 
 def synthesize(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> OffsetReport:
     """Infer the type and per-variable grade offsets of a bare term."""
-    node, synth = _synth(term, env, chip)
-    offsets = {name: synth.solver.resolve(a) for name, a in node.offsets.items()}
-    return OffsetReport(node.type, offsets, tuple(synth.slacks))
+    derivation, offsets, synth = _synth(term, env, chip)
+    offsets = {name: synth.solver.resolve(a) for name, a in offsets.items()}
+    return OffsetReport(derivation.type, offsets, tuple(synth.slacks))
 
 
 # ------------------------------------------------------------ derivations
@@ -441,7 +455,9 @@ class Derivation:
     ``params`` holds the rule's grade data: unit-elim ``(d,)``, gate
     ``(duration,)``, pair-elim ``(d,)``, box-intro ``(d,)``, box-elim
     ``(d, e)``; empty otherwise.  ``ctx``, the node's context, is derived
-    from these on first read.
+    from these on first read.  Synthesis builds the whole tree in one pass;
+    a let's grades, which may depend on slacks, are settled once the grade
+    equations are solved, before ``check`` or ``infer`` returns.
     """
 
     term: TermExpr
@@ -526,51 +542,29 @@ def fill_contexts(root: Derivation) -> None:
         d.__dict__["ctx"] = ctx
 
 
-def _elaborate(root: _Node, solver: _Solver, assignment: dict[int, int]) -> Derivation:
-    """The derivation of a synthesis tree, built bottom-up with an explicit stack."""
-
-    def grade_of(a: Affine) -> int:
-        return solver.resolve(a).eval(assignment)
-
-    done: list[Derivation] = []
-    stack: list[tuple[_Node, bool]] = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
-            continue
-        n = len(node.children)
-        premises = tuple(done[len(done) - n :])
-        del done[len(done) - n :]
-        params = tuple(grade_of(p) if isinstance(p, Affine) else p for p in node.params)
-        done.append(Derivation(node.term, node.type, node.rule, params, premises))
-    return done[0]
-
-
 def check(j: Judgement, chip: ChipSpec) -> Derivation:
     """Decide derivability of the judgement; returns evidence or raises."""
     env = {e.name: e.type for e in j.ctx}
     if len(env) != len(j.ctx):
         raise TypingError(ErrorKind.DUPLICATE_USE, "context repeats a variable name")
-    node, synth = _synth(j.term, env, chip)
+    derivation, offsets, synth = _synth(j.term, env, chip)
 
-    if node.type != j.type:
+    if derivation.type != j.type:
         raise TypingError(
             ErrorKind.TYPE_MISMATCH,
-            f"term has type {print_type(node.type)}, declared {print_type(j.type)}",
+            f"term has type {print_type(derivation.type)}, declared {print_type(j.type)}",
             location=j.term,
             expected=j.type,
-            actual=node.type,
+            actual=derivation.type,
         )
     for entry in j.ctx:
-        if entry.name not in node.offsets:
+        if entry.name not in offsets:
             raise TypingError(
                 ErrorKind.UNUSED_CONTEXT_ENTRY,
                 f"context variable {entry.name!r} does not occur in the term",
             )
     for entry in j.ctx:
-        offset = node.offsets[entry.name]
+        offset = offsets[entry.name]
         if not synth.solver.equate(Affine.of(entry.grade), offset):
             required = synth.solver.resolve(offset)
             raise TypingError(
@@ -581,7 +575,7 @@ def check(j: Judgement, chip: ChipSpec) -> Derivation:
                 actual=entry.grade,
             )
 
-    derivation = _elaborate(node, synth.solver, {})
+    synth.settle({})
     assert {(e.name, e.grade) for e in derivation.ctx} == {
         (e.name, e.grade) for e in j.ctx
     }, "elaborated context disagrees with the declared one"
@@ -602,19 +596,18 @@ def infer(
     not the only derivable context.  ``pin_grades`` forces chosen variables
     to specific grades, failing if the term cannot support them.
     """
-    node, synth = _synth(term, env, chip)
+    derivation, offsets, synth = _synth(term, env, chip)
     for name, grade in (pin_grades or {}).items():
-        if name not in node.offsets:
+        if name not in offsets:
             raise TypingError(
                 ErrorKind.UNBOUND_VARIABLE, f"cannot pin absent variable {name!r}"
             )
-        if not synth.solver.equate(Affine.of(grade), node.offsets[name]):
+        if not synth.solver.equate(Affine.of(grade), offsets[name]):
             raise TypingError(
                 ErrorKind.GRADE_MISMATCH,
                 f"variable {name!r} cannot be used at grade {grade}",
             )
-    assignment = dict(slack_values or {})
-    derivation = _elaborate(node, synth.solver, assignment)
-    offsets = {name: synth.solver.resolve(a) for name, a in node.offsets.items()}
-    report = OffsetReport(node.type, offsets, tuple(synth.slacks))
+    synth.settle(dict(slack_values or {}))
+    offsets = {name: synth.solver.resolve(a) for name, a in offsets.items()}
+    report = OffsetReport(derivation.type, offsets, tuple(synth.slacks))
     return Judgement(derivation.ctx, term, derivation.type), derivation, report

@@ -1,0 +1,584 @@
+"""The one-pass checker against the two-pass synthesis it replaced.
+
+``check``, ``infer`` and ``synthesize`` build each ``Derivation`` node as
+they synthesise it, and settle a let's slack-dependent grades once the
+solver is done.  The reference is the replaced code, kept here: synthesis
+built a tree of ``_Node`` records carrying ``Affine`` grades, and
+``_elaborate`` walked it again to copy it into a ``Derivation`` tree.
+Both must give the same derivations node for node, the same offset
+reports, and the same errors.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+
+import pytest
+
+from pstt import (
+    CtxEntry,
+    GateApp,
+    Judgement,
+    LetBox,
+    LetPair,
+    LetStar,
+    Pair,
+    Star,
+    TypingError,
+    Var,
+    parse,
+)
+from pstt.chip import ChipSpec, GateDecl
+from pstt.surface import print_type
+from pstt.syntax import (
+    Box,
+    BoxIntro,
+    LETS,
+    Qubit,
+    Tensor,
+    TermExpr,
+    TypeExpr,
+    Unit,
+    binders,
+    children,
+    free_occurrences,
+    plug,
+    positions,
+    tensor_of,
+)
+from pstt.testkit import GenConfig, gen_judgement
+from pstt.typecheck import (
+    Affine,
+    Derivation,
+    ErrorKind,
+    OffsetReport,
+    _Solver,
+    check,
+    infer,
+    synthesize,
+)
+from test_compile_path import under_unit_spine
+from test_strict_fast_path import layer_chip, layer_judgement
+from test_traversal import chain_source, units_source
+
+# -------------------------------------------------------------- reference
+
+
+@dataclass
+class _Node:
+    """Per-subterm synthesis record mirroring the term tree.
+
+    ``children`` follow ``syntax.children`` of ``term``.  A node's
+    ``offsets`` map may be handed on to its parent and grown in place.
+    """
+
+    term: TermExpr
+    type: TypeExpr
+    rule: str
+    offsets: dict[str, Affine]
+    params: tuple = ()
+    children: list["_Node"] = field(default_factory=list)
+
+
+class _Synth:
+    def __init__(self, chip: ChipSpec):
+        self.chip = chip
+        self.solver = _Solver()
+        self.slacks: list[int] = []
+
+    def gate_decl(self, name: str, loc: TermExpr) -> GateDecl:
+        decl = self.chip.find_gate(name)
+        if decl is None:
+            raise TypingError(ErrorKind.UNKNOWN_GATE, f"gate {name!r} is not declared", location=loc)
+        return decl
+
+    def merge(self, a: dict[str, Affine], b: dict[str, Affine], loc: TermExpr) -> dict[str, Affine]:
+        """Union of two offset maps, made by moving the smaller into the larger."""
+        if len(a) > len(b):
+            a, b = b, a
+        if not b.keys().isdisjoint(a):
+            # Name the variable whose second use comes first in the term.
+            seen: set[str] = set()
+            for name in free_occurrences(loc):
+                if name in seen:
+                    break
+                seen.add(name)
+            raise TypingError(
+                ErrorKind.DUPLICATE_USE,
+                f"variable {name!r} is used more than once",
+                location=loc,
+            )
+        b.update(a)
+        return b
+
+    def visit(self, t: TermExpr, env: dict[str, TypeExpr]) -> _Node:
+        """Synthesise ``t`` with an explicit stack of unfinished nodes.
+
+        Checks run in term order: a gate's name and arity before its
+        arguments, a scrutinee's type before the body.  ``env`` gains a
+        let's binders once its scrutinee is typed and loses them when the
+        let is done.
+        """
+        frames: list[list] = []  # [term, its children, their nodes so far, gate decl or shadowed env]
+        while True:
+            cls = type(t)
+            if cls is Var:
+                ty = env.get(t.name)
+                if ty is None:
+                    raise TypingError(
+                        ErrorKind.UNBOUND_VARIABLE, f"variable {t.name!r} is not in scope", location=t
+                    )
+                node = _Node(t, ty, "var", {t.name: Affine.of(0)})
+            elif cls is Star:
+                node = _Node(t, Unit(), "unit-intro", {})
+            else:
+                decl = None
+                if cls is GateApp:
+                    decl = self.gate_decl(t.gate, t)
+                    if len(t.args) != len(decl.qubits):
+                        raise TypingError(
+                            ErrorKind.GATE_MISMATCH,
+                            f"gate {t.gate!r} takes {len(decl.qubits)} argument(s), got {len(t.args)}",
+                            location=t,
+                        )
+                kids = children(t)
+                frames.append([t, kids, [], decl])
+                t = kids[0]
+                continue
+            # Hand the finished node to its parent until one needs another child.
+            while frames:
+                parent, kids, done, extra = frame = frames[-1]
+                done.append(node)
+                if len(done) < len(kids):
+                    if len(done) == 1 and isinstance(parent, LETS):
+                        frame[3] = self.open_scope(parent, node.type, env)
+                    t = kids[len(done)]
+                    break
+                frames.pop()
+                node = self.finish(parent, done, extra, env)
+            else:
+                return node
+
+    def open_scope(self, t: TermExpr, ty: TypeExpr, env: dict[str, TypeExpr]) -> list:
+        """Check a let's scrutinee type ``ty`` and bind its binders in ``env``.
+
+        Returns the entries the binders shadow, for ``finish`` to put back.
+        """
+        if type(t) is LetStar:
+            if ty != Unit():
+                raise TypingError(
+                    ErrorKind.TYPE_MISMATCH,
+                    f"scrutinee of let * must have type 1, got {print_type(ty)}",
+                    location=t,
+                    expected=Unit(),
+                    actual=ty,
+                )
+            return []
+        if type(t) is LetPair:
+            if not isinstance(ty, Tensor):
+                raise TypingError(
+                    ErrorKind.TYPE_MISMATCH,
+                    f"scrutinee of let (x, y) must have a tensor type, got {print_type(ty)}",
+                    location=t,
+                    actual=ty,
+                )
+            bound = ((t.x, ty.left), (t.y, ty.right))
+        else:
+            if not isinstance(ty, Box) or ty.grade != t.grade:
+                raise TypingError(
+                    ErrorKind.TYPE_MISMATCH,
+                    f"scrutinee of let box[{t.grade}] must have type [{t.grade}] A,"
+                    f" got {print_type(ty)}",
+                    location=t,
+                    expected=Box(t.grade, Unit()),
+                    actual=ty,
+                )
+            bound = ((t.x, ty.body),)
+        shadowed = [(x, env.get(x)) for x, _ in bound]
+        env.update(bound)
+        return shadowed
+
+    def finish(self, t: TermExpr, nodes: list[_Node], extra, env: dict[str, TypeExpr]) -> _Node:
+        """The node of ``t`` from its children's nodes."""
+        cls = type(t)
+        if cls is GateApp:
+            decl: GateDecl = extra
+            for node, q in zip(nodes, decl.qubits):
+                if node.type != Qubit(q):
+                    raise TypingError(
+                        ErrorKind.GATE_MISMATCH,
+                        f"gate {t.gate!r} expects an argument of type {q},"
+                        f" got {print_type(node.type)}",
+                        location=t,
+                        expected=Qubit(q),
+                        actual=node.type,
+                    )
+            offsets = nodes[0].offsets
+            for node in nodes[1:]:
+                offsets = self.merge(offsets, node.offsets, t)
+            offsets = {name: a.shift(-decl.duration) for name, a in offsets.items()}
+            ty = tensor_of([Qubit(q) for q in decl.qubits])
+            return _Node(t, ty, "gate", offsets, (decl.duration,), nodes)
+
+        if cls is Pair:
+            nl, nr = nodes
+            offsets = self.merge(nl.offsets, nr.offsets, t)
+            return _Node(t, Tensor(nl.type, nr.type), "pair-intro", offsets, (), nodes)
+
+        if cls is BoxIntro:
+            (nb,) = nodes
+            offsets = {n: a.shift(t.grade) for n, a in nb.offsets.items()}
+            return _Node(t, Box(t.grade, nb.type), "box-intro", offsets, (t.grade,), nodes)
+
+        ns, nb = nodes
+        for x, old in extra:
+            if old is None:
+                del env[x]
+            else:
+                env[x] = old
+
+        if cls is LetStar:
+            sid = self.solver.fresh_slack()
+            self.slacks.append(sid)
+            slack = Affine.slack(sid)
+            shifted = {name: a.add(slack) for name, a in ns.offsets.items()}
+            offsets = self.merge(shifted, nb.offsets, t)
+            return _Node(t, nb.type, "unit-elim", offsets, (slack,), nodes)
+
+        names = binders(t)
+        for binder in names:
+            if binder not in nb.offsets:
+                raise TypingError(
+                    ErrorKind.UNUSED_CONTEXT_ENTRY,
+                    f"binder {binder!r} is not used in the body",
+                    location=t,
+                )
+        if cls is LetPair:
+            x, y = names
+            ex, ey = nb.offsets.pop(x), nb.offsets.pop(y)
+            if not self.solver.equate(ex, ey):
+                raise TypingError(
+                    ErrorKind.GRADE_MISMATCH,
+                    f"pair binders {x!r} and {y!r} are used at different grades"
+                    f" ({self.solver.resolve(ex).render()} vs"
+                    f" {self.solver.resolve(ey).render()})",
+                    location=t,
+                )
+            e = self.solver.resolve(ex)
+            shifted = {n: a.add(e) for n, a in ns.offsets.items()}
+            offsets = self.merge(shifted, nb.offsets, t)
+            return _Node(t, nb.type, "pair-elim", offsets, (e,), nodes)
+
+        e = self.solver.resolve(nb.offsets.pop(t.x))
+        shifted = {n: a.add(e.shift(-t.grade)) for n, a in ns.offsets.items()}
+        offsets = self.merge(shifted, nb.offsets, t)
+        return _Node(t, nb.type, "box-elim", offsets, (t.grade, e), nodes)
+
+def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple[_Node, _Synth]:
+    synth = _Synth(chip)
+    node = synth.visit(term, dict(env))
+    return node, synth
+
+
+def ref_synthesize(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> OffsetReport:
+    """Infer the type and per-variable grade offsets of a bare term."""
+    node, synth = _synth(term, env, chip)
+    offsets = {name: synth.solver.resolve(a) for name, a in node.offsets.items()}
+    return OffsetReport(node.type, offsets, tuple(synth.slacks))
+
+
+def _elaborate(root: _Node, solver: _Solver, assignment: dict[int, int]) -> Derivation:
+    """The derivation of a synthesis tree, built bottom-up with an explicit stack."""
+
+    def grade_of(a: Affine) -> int:
+        return solver.resolve(a).eval(assignment)
+
+    done: list[Derivation] = []
+    stack: list[tuple[_Node, bool]] = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not ready:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+            continue
+        n = len(node.children)
+        premises = tuple(done[len(done) - n :])
+        del done[len(done) - n :]
+        params = tuple(grade_of(p) if isinstance(p, Affine) else p for p in node.params)
+        done.append(Derivation(node.term, node.type, node.rule, params, premises))
+    return done[0]
+
+
+def ref_check(j: Judgement, chip: ChipSpec) -> Derivation:
+    """Decide derivability of the judgement; returns evidence or raises."""
+    env = {e.name: e.type for e in j.ctx}
+    if len(env) != len(j.ctx):
+        raise TypingError(ErrorKind.DUPLICATE_USE, "context repeats a variable name")
+    node, synth = _synth(j.term, env, chip)
+
+    if node.type != j.type:
+        raise TypingError(
+            ErrorKind.TYPE_MISMATCH,
+            f"term has type {print_type(node.type)}, declared {print_type(j.type)}",
+            location=j.term,
+            expected=j.type,
+            actual=node.type,
+        )
+    for entry in j.ctx:
+        if entry.name not in node.offsets:
+            raise TypingError(
+                ErrorKind.UNUSED_CONTEXT_ENTRY,
+                f"context variable {entry.name!r} does not occur in the term",
+            )
+    for entry in j.ctx:
+        offset = node.offsets[entry.name]
+        if not synth.solver.equate(Affine.of(entry.grade), offset):
+            required = synth.solver.resolve(offset)
+            raise TypingError(
+                ErrorKind.GRADE_MISMATCH,
+                f"variable {entry.name!r} declared at grade {entry.grade},"
+                f" term requires {required.render()}",
+                expected=required.const if required.is_const else required.render(),
+                actual=entry.grade,
+            )
+
+    derivation = _elaborate(node, synth.solver, {})
+    assert {(e.name, e.grade) for e in derivation.ctx} == {
+        (e.name, e.grade) for e in j.ctx
+    }, "elaborated context disagrees with the declared one"
+    return derivation
+
+
+def ref_infer(
+    term: TermExpr,
+    env: dict[str, TypeExpr],
+    chip: ChipSpec,
+    slack_values: dict[int, int] | None = None,
+    pin_grades: dict[str, int] | None = None,
+) -> tuple[Judgement, Derivation, OffsetReport]:
+    """Infer a judgement for a bare term.
+
+    Free slack variables default to 0 (pass ``slack_values`` to choose a
+    different derivable instance); that instance is a reporting convention,
+    not the only derivable context.  ``pin_grades`` forces chosen variables
+    to specific grades, failing if the term cannot support them.
+    """
+    node, synth = _synth(term, env, chip)
+    for name, grade in (pin_grades or {}).items():
+        if name not in node.offsets:
+            raise TypingError(
+                ErrorKind.UNBOUND_VARIABLE, f"cannot pin absent variable {name!r}"
+            )
+        if not synth.solver.equate(Affine.of(grade), node.offsets[name]):
+            raise TypingError(
+                ErrorKind.GRADE_MISMATCH,
+                f"variable {name!r} cannot be used at grade {grade}",
+            )
+    assignment = dict(slack_values or {})
+    derivation = _elaborate(node, synth.solver, assignment)
+    offsets = {name: synth.solver.resolve(a) for name, a in node.offsets.items()}
+    report = OffsetReport(node.type, offsets, tuple(synth.slacks))
+    return Judgement(derivation.ctx, term, derivation.type), derivation, report
+
+
+# ------------------------------------------------------------- comparison
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the kind, message and data of the TypingError it raises."""
+    try:
+        return f(*args)
+    except TypingError as e:
+        return TypingError, e.kind, str(e), e.location, e.expected, e.actual
+
+
+def is_error(result) -> bool:
+    return type(result) is tuple and result[0] is TypingError
+
+
+def assert_same_error(new, ref) -> None:
+    assert new[:3] == ref[:3]
+    assert new[3] is ref[3]  # the same located subterm
+    assert new[4:] == ref[4:]
+
+
+def assert_same_derivation(new: Derivation, ref: Derivation) -> None:
+    """Node for node: the same term object, type, rule and int params."""
+    stack = [(new, ref)]
+    while stack:
+        a, b = stack.pop()
+        assert a.term is b.term
+        assert (a.rule, a.params) == (b.rule, b.params)
+        assert all(type(p) is int for p in a.params), a.params
+        assert a.type == b.type
+        assert len(a.premises) == len(b.premises)
+        stack += zip(a.premises, b.premises)
+
+
+def assert_same_check(j: Judgement, chip: ChipSpec):
+    new, ref = outcome(check, j, chip), outcome(ref_check, j, chip)
+    assert is_error(new) == is_error(ref)
+    if is_error(ref):
+        assert_same_error(new, ref)
+    else:
+        assert_same_derivation(new, ref)
+    return new
+
+
+def assert_same_infer(term, env, chip, slack_values=None, pin_grades=None):
+    args = (term, env, chip, slack_values, pin_grades)
+    new, ref = outcome(infer, *args), outcome(ref_infer, *args)
+    assert is_error(new) == is_error(ref)
+    if is_error(ref):
+        assert_same_error(new, ref)
+        return
+    (jn, dn, rn), (jr, dr, rr) = new, ref
+    assert jn.ctx == jr.ctx and jn.term is jr.term and jn.type == jr.type
+    assert_same_derivation(dn, dr)
+    assert rn == rr
+
+
+def assert_same_synthesize(term, env, chip):
+    new, ref = outcome(synthesize, term, env, chip), outcome(ref_synthesize, term, env, chip)
+    assert is_error(new) == is_error(ref)
+    if is_error(ref):
+        assert_same_error(new, ref)
+    else:
+        assert new == ref
+    return ref
+
+
+def assert_same_everywhere(j: Judgement, chip: ChipSpec, rng: random.Random) -> None:
+    """``check``, ``infer`` (plain, with slack values, with pins) and ``synthesize``."""
+    assert_same_check(j, chip)
+    env = {e.name: e.type for e in j.ctx}
+    report = assert_same_synthesize(j.term, env, chip)
+    assert_same_infer(j.term, env, chip)
+    if not is_error(report):
+        slacks = {sid: rng.randint(-90, 90) for sid in report.slack_ids}
+        assert_same_infer(j.term, env, chip, slacks)
+    pins = {e.name: e.grade for e in j.ctx}
+    assert_same_infer(j.term, env, chip, None, pins)
+    if j.ctx:
+        entry = rng.choice(j.ctx)
+        assert_same_infer(j.term, env, chip, None, {entry.name: entry.grade + 1})
+
+
+def generated(chip: ChipSpec, seed: int, per_depth: int):
+    rng = random.Random(seed)
+    for depth in range(4, 11):
+        cfg = GenConfig(chip=chip, seed=seed, max_depth=depth)
+        for _ in range(per_depth):
+            yield gen_judgement(cfg, rng=rng), rng
+
+
+# ------------------------------------------------------------------ tests
+
+
+def test_corpus_matches_the_two_pass_checker(chip0, corpus):
+    rng = random.Random(0)
+    for d in corpus.declarations:
+        assert_same_everywhere(d.judgement, chip0, rng)
+        assert_same_everywhere(under_unit_spine(d.judgement, rng), chip0, rng)
+
+
+@pytest.mark.parametrize("seed", [7, 2025])
+def test_generated_judgements_match_the_two_pass_checker(chip0, seed):
+    rules = set()
+    for j, rng in generated(chip0, seed, 8):
+        assert_same_everywhere(j, chip0, rng)
+        spined = under_unit_spine(j, rng)
+        assert_same_everywhere(spined, chip0, rng)
+        # The bare term, with no declared context to check against.
+        closed = Judgement((), j.term, j.type)
+        assert_same_check(closed, chip0)
+        assert_same_infer(j.term, {}, chip0)
+        rules |= {d.rule for d in iter_derivation(check(spined, chip0))}
+    assert {"unit-elim", "pair-elim", "box-elim", "box-intro", "gate"} <= rules
+
+
+def iter_derivation(root: Derivation):
+    stack = [root]
+    while stack:
+        d = stack.pop()
+        yield d
+        stack.extend(d.premises)
+
+
+@pytest.mark.parametrize("source", [units_source, chain_source])
+def test_long_inputs_match_the_two_pass_checker(chip0, source):
+    j = parse(source(2_000)).declarations[0].judgement
+    assert_same_everywhere(j, chip0, random.Random(1))
+
+
+def test_layer_matches_the_two_pass_checker():
+    chip, j = layer_chip(64), layer_judgement(64)
+    assert_same_everywhere(j, chip, random.Random(2))
+
+
+# -------------------------------------------------------------- mutations
+
+
+def swap_gate(j: Judgement, chip: ChipSpec, rng: random.Random) -> Judgement | None:
+    """``j`` with one gate replaced by a gate on other qubits."""
+    apps = [(t, up) for t, up in positions(j.term) if type(t) is GateApp]
+    if not apps:
+        return None
+    t, up = rng.choice(apps)
+    decl = chip.find_gate(t.gate)
+    others = [g.name for g in chip.gates if g.qubits != decl.qubits]
+    return Judgement(j.ctx, plug(GateApp(rng.choice(others), t.args), up), j.type)
+
+
+def unused_binder(j: Judgement, rng: random.Random) -> Judgement:
+    """``j`` with a subterm under a let whose binder its body never uses."""
+    t, up = rng.choice(positions(j.term))
+    let = LetBox(0, "unused", BoxIntro(0, Star()), t)
+    return Judgement(j.ctx, plug(let, up), j.type)
+
+
+def used_twice(j: Judgement, rng: random.Random) -> Judgement | None:
+    """``j`` with a pair's right side replaced by its left side."""
+    pairs = [(t, up) for t, up in positions(j.term) if type(t) is Pair and free_occurrences(t.left)]
+    if not pairs:
+        return None
+    t, up = rng.choice(pairs)
+    return Judgement(j.ctx, plug(Pair(t.left, t.left), up), j.type)
+
+
+def grade_off_by_one(j: Judgement, rng: random.Random) -> Judgement | None:
+    if not j.ctx:
+        return None
+    i = rng.randrange(len(j.ctx))
+    e = j.ctx[i]
+    ctx = j.ctx[:i] + (CtxEntry(e.name, e.grade + 1, e.type),) + j.ctx[i + 1 :]
+    return Judgement(ctx, j.term, j.type)
+
+
+def test_ill_typed_mutations_raise_the_same_errors(chip0, corpus):
+    mutate = {
+        "swapped gate": lambda j, rng: swap_gate(j, chip0, rng),
+        "unused binder": unused_binder,
+        "used twice": used_twice,
+        "grade off by one": grade_off_by_one,
+    }
+    expected = {
+        "swapped gate": ErrorKind.GATE_MISMATCH,
+        "unused binder": ErrorKind.UNUSED_CONTEXT_ENTRY,
+        "used twice": ErrorKind.DUPLICATE_USE,
+        "grade off by one": ErrorKind.GRADE_MISMATCH,
+    }
+    seen = {name: 0 for name in mutate}
+    sources = [(d.judgement, random.Random(i)) for i, d in enumerate(corpus.declarations)]
+    sources += list(generated(chip0, 11, 6))
+    for j, rng in sources:
+        for spined in (j, under_unit_spine(j, rng)):
+            for name, f in mutate.items():
+                bad = f(spined, rng)
+                if bad is None:
+                    continue
+                result = assert_same_check(bad, chip0)
+                if is_error(result) and result[1] is expected[name]:
+                    seen[name] += 1
+    assert all(count >= 20 for count in seen.values()), seen

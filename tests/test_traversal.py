@@ -110,6 +110,20 @@ def test_spine_of_two_thousand_unit_lets(chip0):
     assert text.endswith(f" = {printed}\n")
 
 
+def test_chain_of_ten_thousand_gates_checks_with_one_tree(chip0):
+    j = parse(chain_source(10_000)).declarations[0].judgement
+    # Synthesis builds the derivation itself, so no second tree of the
+    # same size is held while it is built.
+    tracemalloc.start()
+    try:
+        evidence = check(j, chip0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert [(e.name, e.grade) for e in evidence.ctx] == [("x", -200_000)]
+
+
 def test_layer_of_a_thousand_qubits():
     # The type is a thousand tensors deep: type equality, parse_type,
     # print_type and the emitter's channel layout walk it without recursing.
