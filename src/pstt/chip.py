@@ -58,9 +58,6 @@ class Calibration:
     gate: str
     samples: dict[QubitId, tuple[int, ...]] = field(compare=True)
 
-    def duration(self) -> int:
-        return len(next(iter(self.samples.values()))) if self.samples else 0
-
 
 @dataclass(frozen=True)
 class ChipSpec:

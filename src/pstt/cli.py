@@ -25,7 +25,7 @@ from .surface import (
     print_term,
     print_type,
 )
-from .testkit import GenConfig, gen_judgement
+from .syntax import free_occurrences
 from .typecheck import TypingError, check, infer
 
 
@@ -179,6 +179,7 @@ def _cmd_emit(args, out) -> int:
 
 
 def _cmd_selfcheck(args, out) -> int:
+    # The oracle and the generator are test tools; no other command loads them.
     from .semantics import (
         LawCheckConfig,
         PulseModel,
@@ -186,7 +187,7 @@ def _cmd_selfcheck(args, out) -> int:
         sample_pulse_morphisms,
         sample_pulse_objects,
     )
-    from .syntax import free_occurrences
+    from .testkit import GenConfig, gen_judgement
 
     chip = _load_chip(args.chip)
     rng = random.Random(args.seed)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
+from . import schedule, typecheck
 from .chip import ChipSpec
 from .surface import print_term
 from .syntax import (
@@ -507,11 +508,9 @@ def normalize(
     env = {e.name: e.type for e in context} if context is not None else None
     recheck = None
     if context is not None and result_type is not None and chip is not None:
-        from .typecheck import TypingError, check
-
         def recheck(t2: TermExpr) -> bool:
             try:
-                check(Judgement(context, t2, result_type), chip)
+                typecheck.check(Judgement(context, t2, result_type), chip)
                 return True
             except TypingError:
                 return False
@@ -538,7 +537,6 @@ def normalize(
 
 class EqKind(enum.Enum):
     EQUAL = "Equal"
-    NOT_EQUAL_NORMAL_FORM = "NotEqualByNormalForm"
     NOT_EQUAL_SEMANTICS = "NotEqualBySemantics"
     UNKNOWN = "Unknown"
 
@@ -547,12 +545,12 @@ class EqKind(enum.Enum):
 class EqVerdict:
     """Outcome of an equality query.
 
-    NOT_EQUAL_NORMAL_FORM is reserved: a normal-form mismatch alone never
-    proves inequality (the oriented system is not known complete), so the
-    engine reports semantically refuted pairs as NOT_EQUAL_SEMANTICS and
-    everything else unresolved as UNKNOWN with a reason.  A refutation's
-    ``witness`` is the two sides' emitted ``Schedule``s; their provenance
-    locates the gates behind the first differing sample.
+    A normal-form mismatch alone never proves inequality (the oriented
+    system is not known complete), so the engine reports semantically
+    refuted pairs as NOT_EQUAL_SEMANTICS and everything else unresolved as
+    UNKNOWN with a reason.  A refutation's ``witness`` is the two sides'
+    emitted ``Schedule``s; their provenance locates the gates behind the
+    first differing sample.
     """
 
     kind: EqKind
@@ -581,11 +579,8 @@ def judgementally_equal(
     interval, so different channels refute the equation.  A side with no
     schedule on ``chip`` answers UNKNOWN (semantics unavailable).
     """
-    from .schedule import Unschedulable, emit
-    from .typecheck import check
-
-    check(Judgement(ctx, s, type_), chip)
-    check(Judgement(ctx, t, type_), chip)
+    typecheck.check(Judgement(ctx, s, type_), chip)
+    typecheck.check(Judgement(ctx, t, type_), chip)
 
     try:
         nf_s = normalize(s, budget=budget, context=ctx, result_type=type_, chip=chip)
@@ -598,9 +593,9 @@ def judgementally_equal(
         return EqVerdict(EqKind.EQUAL, trace=traces)
 
     try:
-        f = emit(Judgement(ctx, s, type_), chip)
-        g = emit(Judgement(ctx, t, type_), chip)
-    except Unschedulable:
+        f = schedule.emit(Judgement(ctx, s, type_), chip)
+        g = schedule.emit(Judgement(ctx, t, type_), chip)
+    except schedule.Unschedulable:
         return EqVerdict(EqKind.UNKNOWN, trace=traces, reason="semantics unavailable")
     if f.channels != g.channels:
         return EqVerdict(EqKind.NOT_EQUAL_SEMANTICS, trace=traces, witness=(f, g))

@@ -5,6 +5,10 @@ time 0; context grades are the (usually negative) start times, and box
 grades in the result type move that channel's end time.  A schedule is
 complete when every channel's samples tile exactly the interval its
 judgement dictates: no gaps, no overlaps.
+
+This module owns ``ModelError`` and ``channel_layout``, the channels a
+type lays out.  ``pstt.semantics`` re-exports the first and builds its
+pulse objects on the second; the compiler never imports that package.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 
 from .chip import ChipSpec
-from .semantics import ModelError, type_pulse_object
-from .syntax import Judgement, TypeExpr
+from .syntax import Box, Judgement, Qubit, Tensor, TypeExpr, Unit
 from .typecheck import check, premise_shifts
+
+
+class ModelError(Exception):
+    """Raised when a model operation is applied to incompatible data."""
 
 
 class Unschedulable(ModelError):
@@ -179,11 +186,43 @@ def _channel_grades(j: Judgement) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def _layout(ty: TypeExpr, where: str) -> tuple[tuple[int, str], ...]:
-    """The (grade, qubit) channels of a type that names each qubit once."""
+    """``channel_layout``, blaming ``where`` when the type has none."""
     try:
-        return type_pulse_object(ty).entries
+        return channel_layout(ty)
     except ModelError as exc:
         raise Unschedulable(f"{where}: {exc}") from None
+
+
+def channel_layout(ty: TypeExpr) -> tuple[tuple[int, str], ...]:
+    """The (grade, qubit) channels a type denotes, leaves left to right.
+
+    Raises ``ModelError`` when the type names a qubit twice.
+    """
+    entries: list[tuple[int, str]] = []
+    sides: list[set[str]] = []  # qubits of each finished subtree
+    stack: list[tuple[TypeExpr, int, bool]] = [(ty, 0, False)]  # (type, shift, sides done)
+    while stack:
+        t, shift, done = stack.pop()
+        cls = type(t)
+        if done:
+            r, l = sides.pop(), sides.pop()
+            if l & r:
+                raise ModelError(f"qubit collision in tensor: {sorted(l & r)}")
+            small, big = sorted((l, r), key=len)
+            big |= small
+            sides.append(big)
+        elif cls is Unit:
+            sides.append(set())
+        elif cls is Qubit:
+            entries.append((shift, t.name))
+            sides.append({t.name})
+        elif cls is Tensor:
+            stack += [(t, shift, True), (t.right, shift, False), (t.left, shift, False)]
+        elif cls is Box:
+            stack.append((t.body, shift + t.grade, False))
+        else:
+            raise ModelError(f"not a type: {t!r}")
+    return tuple(entries)
 
 
 def _expected_spans(j: Judgement) -> dict[str, tuple[int, int]]:

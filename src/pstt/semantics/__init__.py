@@ -1,4 +1,4 @@
-"""Categorical models and the generic interpreter."""
+"""Categorical models and the generic interpreter: the oracle the compiler is tested against."""
 
 from .interpret import context_obj, context_shape, interpret
 from .laws import (

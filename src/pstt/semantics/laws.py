@@ -14,7 +14,11 @@ from typing import Any
 
 from ..chip import ChipSpec
 from .model import Model, ModelError
-from .pulse import PulseModel, PulseObject
+from .pulse import PulseModel, PulseMorphism, PulseObject
+
+_MAX_PAIRS = 2000  # composable pairs sampled for the composition laws
+_PER_OBJECT = 2  # morphisms sampled out of each object
+_MAX_DURATION = 4  # longest sampled channel signal, in ns
 
 
 @dataclass(frozen=True)
@@ -22,7 +26,6 @@ class LawCheckConfig:
     objects: tuple[Any, ...]
     morphisms: tuple[Any, ...]
     grades: tuple[int, ...] = (-2, -1, 0, 1, 3)
-    max_triples: int = 2000
     seed: int = 0
 
 
@@ -68,7 +71,7 @@ def check_model_laws(m: Model, config: LawCheckConfig) -> LawReport:
             if m.obj_eq(m.cod(f), m.dom(g)):
                 out.append((f, g))
         rng.shuffle(out)
-        return out[: config.max_triples]
+        return out[:_MAX_PAIRS]
 
     pairs = composable_pairs()
 
@@ -262,19 +265,15 @@ def sample_pulse_morphisms(
     model: PulseModel,
     objects: list[PulseObject],
     rng: random.Random,
-    per_object: int = 2,
-    max_duration: int = 4,
 ):
     """Random forward-in-time morphisms out of each sampled object."""
-    from .pulse import PulseMorphism
-
     out = []
     for src in objects:
-        for _ in range(per_object):
+        for _ in range(_PER_OBJECT):
             entries = []
             signals = {}
             for g, q in src.entries:
-                dur = rng.randrange(0, max_duration + 1)
+                dur = rng.randrange(0, _MAX_DURATION + 1)
                 entries.append((g + dur, q))
                 signals[q] = tuple(rng.randrange(-9, 10) for _ in range(dur))
             tgt = PulseObject(tuple(entries))

@@ -4,6 +4,9 @@ A model supplies objects and morphisms, a tensor, a braiding, an integer
 action ``d . A`` with unitor and multiplicator isomorphisms, and per-grade
 distributors witnessing that each ``d . -`` is strong monoidal.  The
 interpreter drives any implementation through this interface.
+
+Its operations raise ``ModelError``, which the compiler's ``schedule``
+module owns so that it can raise it without importing this package.
 """
 
 from __future__ import annotations
@@ -12,11 +15,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
+from ..schedule import ModelError
 from ..syntax import Box, Qubit, Tensor, TypeExpr, Unit
-
-
-class ModelError(Exception):
-    """Raised when a model operation is applied to incompatible data."""
 
 
 class Model(ABC):

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..chip import ChipSpec
-from ..syntax import Qubit, TypeExpr
-from .model import Model, ModelError, Shape, leaf_permutation, shape_leaves
+from ..schedule import MissingCalibration, ModelError, channel_layout
+from ..syntax import TypeExpr
+from .model import Model, Shape, leaf_permutation, shape_leaves
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,6 @@ class PulseModel(Model):
         return PulseObject(((0, qubit),))
 
     def gate_mor(self, gate: str) -> PulseMorphism:
-        from ..schedule import MissingCalibration
-
         decl = self.chip.find_gate(gate)
         if decl is None:
             raise ModelError(f"unknown gate {gate!r}")
@@ -233,30 +232,4 @@ class PulseModel(Model):
 
 def type_pulse_object(ty: TypeExpr) -> PulseObject:
     """The channel layout a type denotes, without needing a chip."""
-    from ..syntax import Box, Tensor, Unit
-
-    entries: list[tuple[int, str]] = []  # the leaves, left to right
-    sides: list[set[str]] = []  # qubits of each finished subtree
-    stack: list[tuple[TypeExpr, int, bool]] = [(ty, 0, False)]  # (type, shift, sides done)
-    while stack:
-        t, shift, done = stack.pop()
-        cls = type(t)
-        if done:
-            r, l = sides.pop(), sides.pop()
-            if l & r:
-                raise ModelError(f"qubit collision in tensor: {sorted(l & r)}")
-            small, big = sorted((l, r), key=len)
-            big |= small
-            sides.append(big)
-        elif cls is Unit:
-            sides.append(set())
-        elif cls is Qubit:
-            entries.append((shift, t.name))
-            sides.append({t.name})
-        elif cls is Tensor:
-            stack += [(t, shift, True), (t.right, shift, False), (t.left, shift, False)]
-        elif cls is Box:
-            stack.append((t.body, shift + t.grade, False))
-        else:
-            raise ModelError(f"not a type: {t!r}")
-    return PulseObject(tuple(entries))
+    return PulseObject(channel_layout(ty))

@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..chip import ChipSpec
+from ..equality import EqKind, judgementally_equal
 from ..syntax import (
     Box,
     BoxIntro,
+    CtxEntry,
     GateApp,
     LetBox,
     LetPair,
@@ -43,18 +45,14 @@ class SynMorphism:
 
 
 class SyntacticModel(Model):
-    def __init__(self, chip: ChipSpec, *, budget: int = 10_000):
+    def __init__(self, chip: ChipSpec):
         self.chip = chip
-        self.budget = budget
 
     # category ----------------------------------------------------------
     def obj_eq(self, a: TypeExpr, b: TypeExpr) -> bool:
         return a == b
 
     def mor_eq(self, f: SynMorphism, g: SynMorphism) -> bool | None:
-        from ..equality import EqKind, judgementally_equal
-        from ..syntax import CtxEntry
-
         if f.src != g.src or f.tgt != g.tgt:
             return False
         z = fresh_name("z", set(free_vars(f.term)) | set(free_vars(g.term)))
@@ -65,7 +63,6 @@ class SyntacticModel(Model):
             substitute(g.term, g.var, Var(z)),
             f.tgt,
             self.chip,
-            budget=self.budget,
         )
         if verdict.kind is EqKind.EQUAL:
             return True

@@ -49,15 +49,17 @@ from .syntax import (
 )
 from .typecheck import TypingError, _synth, check, infer, synthesize
 
+_GRADES = (-120, 120)  # range of generated grades and slack values
+_ATTEMPTS = 60  # generation attempts before falling back
+_MAX_NODES = 4000  # terms visited by one search_equal
+
 
 @dataclass(frozen=True)
 class GenConfig:
     chip: ChipSpec
     seed: int = 0
     max_depth: int = 4
-    grade_range: tuple[int, int] = (-120, 120)
     distinct_qubits: bool = False
-    max_attempts: int = 60
 
 
 class _GenFail(Exception):
@@ -73,14 +75,15 @@ class _Gen:
         self.pool: set[str] | None = set(cfg.chip.qubits) if cfg.distinct_qubits else None
         self.allow_fresh = True
         self.var_types: dict[str, TypeExpr] = {}
+        # each chip gate with its result type, built once
+        self.gate_types = [(tensor_of([Qubit(q) for q in g.qubits]), g) for g in self.chip.gates]
 
     def fresh(self, base: str = "v") -> str:
         self.counter += 1
         return f"{base}{self.counter}"
 
     def grade(self) -> int:
-        lo, hi = self.cfg.grade_range
-        return self.rng.randint(lo, hi)
+        return self.rng.randint(*_GRADES)
 
     # -------------------------------------------------------------- types
 
@@ -138,11 +141,7 @@ class _Gen:
         return out
 
     def gates_for(self, goal: TypeExpr) -> list:
-        return [
-            g
-            for g in self.chip.gates
-            if tensor_of([Qubit(q) for q in g.qubits]) == goal
-        ]
+        return [g for ty, g in self.gate_types if ty == goal]
 
     def gen(self, goal: TypeExpr, depth: int, must_use: list[tuple[str, TypeExpr]]) -> TermExpr:
         if depth <= 1:
@@ -247,14 +246,14 @@ def gen_judgement(
 ) -> Judgement:
     """A random judgement accepted by ``check``; deterministic per seed."""
     rng = rng or random.Random(cfg.seed)
-    for _ in range(cfg.max_attempts):
+    for _ in range(_ATTEMPTS):
         gen = _Gen(cfg, rng)
         try:
             pool = list(cfg.chip.qubits)
             this_goal = goal if goal is not None else gen.random_type(3, pool)
             term = gen.gen(this_goal, cfg.max_depth, [])
             report = synthesize(term, gen.var_types, cfg.chip)
-            slacks = {sid: rng.randint(*cfg.grade_range) for sid in report.slack_ids}
+            slacks = {sid: rng.randint(*_GRADES) for sid in report.slack_ids}
             judgement, _, _ = infer(term, gen.var_types, cfg.chip, slacks)
         except (TypingError, _GenFail):
             continue
@@ -272,7 +271,7 @@ def gen_single_var_judgement(
 ) -> Judgement | None:
     """A judgement of shape ``x :^0 A |- t : B``, or None if unlucky."""
     rng = rng or random.Random(cfg.seed)
-    for _ in range(cfg.max_attempts):
+    for _ in range(_ATTEMPTS):
         gen = _Gen(cfg, rng)
         gen.allow_fresh = False
         pool = list(cfg.chip.qubits)
@@ -525,7 +524,6 @@ def all_moves(
     j: Judgement,
     chip: ChipSpec,
     *,
-    max_results: int | None = None,
     fast: bool = False,
     skip_noise: bool = False,
 ) -> list[Move]:
@@ -554,8 +552,6 @@ def all_moves(
                 except (TypingError, ValueError):
                     continue
             moves.append(Move(rule, direction, path, candidate))
-            if max_results is not None and len(moves) >= max_results:
-                return moves
     return moves
 
 
@@ -566,8 +562,6 @@ def search_equal(
     type_: TypeExpr,
     chip: ChipSpec,
     depth: int = 6,
-    *,
-    max_nodes: int = 4000,
 ) -> ProofSearchResult:
     """Bidirectional BFS over rule rewrites; found implies equality."""
     check(Judgement(ctx, s, type_), chip)
@@ -629,7 +623,7 @@ def search_equal(
                     if key in sides["t" if side == "s" else "s"]:
                         proof, path = build_proof(key)
                         return ProofSearchResult(True, proof, round_no, path)
-                    if len(sides["s"]) + len(sides["t"]) > max_nodes:
+                    if len(sides["s"]) + len(sides["t"]) > _MAX_NODES:
                         return ProofSearchResult(False, (), round_no)
             frontiers[side] = new_frontier
         explored = round_no
