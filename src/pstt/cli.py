@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .chip import ChipError, ChipSpec, parse_chip_spec
-from .equality import BudgetExceeded, EqKind, judgementally_equal, normalize
+from .equality import DEFAULT_BUDGET, BudgetExceeded, EqKind, judgementally_equal, normalize
 from .schedule import Unschedulable, emit, to_json, validate
 from .surface import (
     ParseError,
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=10_000,
+            default=DEFAULT_BUDGET,
             help="rewrite budget: one per beta, eta or hoist step and one per sort of a let prefix",
         )
 

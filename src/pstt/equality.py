@@ -579,8 +579,9 @@ def judgementally_equal(
     interval, so different channels refute the equation.  A side with no
     schedule on ``chip`` answers UNKNOWN (semantics unavailable).
     """
-    typecheck.check(Judgement(ctx, s, type_), chip)
-    typecheck.check(Judgement(ctx, t, type_), chip)
+    js, jt = Judgement(ctx, s, type_), Judgement(ctx, t, type_)
+    typecheck.check(js, chip)
+    typecheck.check(jt, chip)
 
     try:
         nf_s = normalize(s, budget=budget, context=ctx, result_type=type_, chip=chip)
@@ -593,8 +594,8 @@ def judgementally_equal(
         return EqVerdict(EqKind.EQUAL, trace=traces)
 
     try:
-        f = schedule.emit(Judgement(ctx, s, type_), chip)
-        g = schedule.emit(Judgement(ctx, t, type_), chip)
+        f = schedule.emit(js, chip)
+        g = schedule.emit(jt, chip)
     except schedule.Unschedulable:
         return EqVerdict(EqKind.UNKNOWN, trace=traces, reason="semantics unavailable")
     if f.channels != g.channels:

@@ -98,10 +98,12 @@ class ValidationReport:
 def emit(j: Judgement, chip: ChipSpec) -> Schedule:
     """Place every gate's calibration of a judgement on its channels.
 
-    ``emit`` checks ``j`` itself and raises ``TypingError`` when it does
-    not check, and ``Unschedulable`` when it checks but has no schedule on
-    ``chip``.  It is the package's only pulse evaluator at run time:
-    ``judgementally_equal`` refutes by comparing emitted schedules.
+    ``emit`` reuses the evidence ``j`` keeps from an earlier ``check``
+    against ``chip``, or checks ``j`` itself.  It raises ``TypingError``
+    when ``j`` does not check, and ``Unschedulable`` when it checks but has
+    no schedule on ``chip``.  It is the package's only pulse evaluator at
+    run time: ``judgementally_equal`` refutes by comparing emitted
+    schedules.
 
     One walk over the derivation carries the absolute time ``o`` at which
     the current subterm finishes; a gate finishing at ``o`` writes its

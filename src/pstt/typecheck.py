@@ -543,7 +543,18 @@ def fill_contexts(root: Derivation) -> None:
 
 
 def check(j: Judgement, chip: ChipSpec) -> Derivation:
-    """Decide derivability of the judgement; returns evidence or raises."""
+    """Decide derivability of the judgement; returns evidence or raises.
+
+    A judgement keeps its evidence for the chip it was checked against: a
+    later ``check`` of the same ``Judgement`` object with the same
+    ``ChipSpec`` object returns that derivation without deciding again.
+    Both are frozen, and checking reads no calibration, so the evidence
+    cannot go stale; it lives as long as the judgement.  A failed check
+    keeps nothing.
+    """
+    memo = j.__dict__.get("_evidence")
+    if memo is not None and memo[0] is chip:
+        return memo[1]
     env = {e.name: e.type for e in j.ctx}
     if len(env) != len(j.ctx):
         raise TypingError(ErrorKind.DUPLICATE_USE, "context repeats a variable name")
@@ -579,6 +590,7 @@ def check(j: Judgement, chip: ChipSpec) -> Derivation:
     assert {(e.name, e.grade) for e in derivation.ctx} == {
         (e.name, e.grade) for e in j.ctx
     }, "elaborated context disagrees with the declared one"
+    j.__dict__["_evidence"] = (chip, derivation)
     return derivation
 
 

@@ -6,6 +6,7 @@ import pytest
 import pstt.cli
 from pstt import from_json, parse, validate
 from pstt.cli import run
+from pstt.equality import DEFAULT_BUDGET
 
 
 def invoke(*argv, env=None, monkeypatch=None):
@@ -280,3 +281,9 @@ def test_color_env_toggles_styling(tmp_path, chip0_path, monkeypatch):
 def test_usage_error_for_unknown_flags(chip0_path, corpus_path):
     code, _, _ = invoke("check", str(corpus_path), "--chip", str(chip0_path), "--bogus")
     assert code != 0
+
+
+@pytest.mark.parametrize("command", ["normalize", "eq"])
+def test_budget_default_is_the_library_default(command):
+    args = pstt.cli.build_parser().parse_args([command, "f.pstt", "--chip", "chip.json"])
+    assert args.budget == DEFAULT_BUDGET
