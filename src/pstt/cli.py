@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user error (parse/type/validation failure, a
-judgement with no schedule on the chip, or an input too large for the
-available stack or memory), 2 internal invariant breach.
+Exit codes: 0 success, 1 user error (usage, parse/type/validation failure,
+a judgement with no schedule on the chip, an output that cannot be written,
+or an input too large for the available stack or memory), 2 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -170,7 +171,10 @@ def _cmd_emit(args, out) -> int:
         # emit guarantees completeness; a failure here is a bug, not misuse.
         raise _Fail(f"emitted schedule failed validation: {report.summary()}", code=2)
     text = to_json(schedule)
-    Path(args.output).write_text(text, encoding="utf-8")
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Fail(f"cannot write {args.output}: {exc}") from exc
     print(
         f"wrote {args.output} ({len(schedule.channels)} channel(s), validated)",
         file=out,
@@ -234,6 +238,13 @@ def _cmd_selfcheck(args, out) -> int:
     return 1 if failures else 0
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pstt",
@@ -248,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chip", required=True, help="chip spec JSON file")
         p.add_argument(
             "--budget",
-            type=int,
+            type=_count,
             default=DEFAULT_BUDGET,
             help="rewrite budget: one per beta, eta or hoist step and one per sort of a let prefix",
         )
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck = sub.add_parser("selfcheck", help="run law and metatheory suites")
     with_common(selfcheck, file_arg=False)
     selfcheck.add_argument("--seed", type=int, default=0)
-    selfcheck.add_argument("--cases", type=int, default=50)
+    selfcheck.add_argument("--cases", type=_count, default=50)
     return parser
 
 
@@ -279,8 +290,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # usage error, or --help / --version
+        return 1 if exc.code else 0
     handlers = {
         "check": _cmd_check,
         "infer": _cmd_infer,
@@ -304,3 +315,7 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

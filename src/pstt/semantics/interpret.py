@@ -12,7 +12,7 @@ from typing import Any
 
 from ..surface import print_context
 from ..syntax import Context, CtxEntry, Judgement
-from ..typecheck import Derivation, fill_contexts
+from ..typecheck import Derivation
 from .model import (
     Model,
     ModelError,
@@ -80,77 +80,80 @@ def _rc_obj(m: Model, objs: list[Any]) -> Any:
     return out
 
 
-def _interp(d: Derivation, m: Model) -> Any:
+def _shift(ctx: Context, s: int) -> Context:
+    return tuple(CtxEntry(e.name, e.grade + s, e.type) for e in ctx)
+
+
+def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
+    """``d``'s morphism and its domain's context, built from its premises'."""
     match d.rule:
         case "var":
-            entry = d.ctx[0]
-            a = m.type_obj(entry.type)
-            return m.compose(m.unitor_inv(a), m.lunit(m.act_obj(0, a)))
+            a = m.type_obj(d.type)
+            mor = m.compose(m.unitor_inv(a), m.lunit(m.act_obj(0, a)))
+            return mor, (CtxEntry(d.term.name, 0, d.type),)
 
         case "unit-intro":
-            return m.identity(m.unit())
+            return m.identity(m.unit()), ()
 
         case "pair-intro":
-            left, right = d.premises
+            (left, lctx), (right, rctx) = (_interp(p, m) for p in d.premises)
+            ctx = lctx + rctx
             split = structural(
                 m,
-                context_shape(m, d.ctx),
-                ShapeNode(context_shape(m, left.ctx), context_shape(m, right.ctx)),
+                context_shape(m, ctx),
+                ShapeNode(context_shape(m, lctx), context_shape(m, rctx)),
             )
-            return m.compose(m.tensor_mor(_interp(left, m), _interp(right, m)), split)
+            return m.compose(m.tensor_mor(left, right), split), ctx
 
         case "gate":
             dur = d.params[0]
-            shifted = [
-                tuple(CtxEntry(e.name, e.grade - dur, e.type) for e in p.ctx)
-                for p in d.premises
-            ]
-            groups = [context_shape(m, ctx) for ctx in shifted]
-            split = structural(m, context_shape(m, d.ctx), _rc_shape(groups))
-            absorbed = _tensor_chain(m, [_absorb(m, -dur, p.ctx) for p in d.premises])
-            prem_objs = [context_obj(m, p.ctx) for p in d.premises]
-            gathered = _dist_chain(m, -dur, prem_objs)
-            body = m.act_mor(-dur, _tensor_chain(m, [_interp(p, m) for p in d.premises]))
-            return m.compose_all([split, absorbed, gathered, body, m.gate_mor(d.term.gate)])
+            mors, ctxs = zip(*(_interp(p, m) for p in d.premises))
+            shifted = [_shift(c, -dur) for c in ctxs]
+            ctx = tuple(e for c in shifted for e in c)
+            groups = [context_shape(m, c) for c in shifted]
+            split = structural(m, context_shape(m, ctx), _rc_shape(groups))
+            absorbed = _tensor_chain(m, [_absorb(m, -dur, c) for c in ctxs])
+            gathered = _dist_chain(m, -dur, [context_obj(m, c) for c in ctxs])
+            body = m.act_mor(-dur, _tensor_chain(m, list(mors)))
+            return m.compose_all([split, absorbed, gathered, body, m.gate_mor(d.term.gate)]), ctx
 
         case "unit-elim":
             shift = d.params[0]
-            scrut, body = d.premises
-            shifted = tuple(
-                CtxEntry(e.name, e.grade + shift, e.type) for e in scrut.ctx
-            )
-            delta_obj = context_obj(m, body.ctx)
-            split = structural(
-                m,
-                context_shape(m, d.ctx),
-                ShapeNode(context_shape(m, shifted), context_shape(m, body.ctx)),
-            )
-            return m.compose_all(
-                [
-                    split,
-                    m.tensor_mor(_absorb(m, shift, scrut.ctx), m.identity(delta_obj)),
-                    m.tensor_mor(m.act_mor(shift, _interp(scrut, m)), m.identity(delta_obj)),
-                    m.tensor_mor(m.dist_unit(shift), m.identity(delta_obj)),
-                    m.lunit(delta_obj),
-                    _interp(body, m),
-                ]
-            )
-
-        case "pair-elim":
-            shift = d.params[0]
-            scrut, body = d.premises
-            x, y = d.term.x, d.term.y
-            tensor_ty = scrut.type
-            a_obj = m.type_obj(tensor_ty.left)
-            b_obj = m.type_obj(tensor_ty.right)
-            shifted = tuple(
-                CtxEntry(e.name, e.grade + shift, e.type) for e in scrut.ctx
-            )
-            delta = tuple(e for e in body.ctx if e.name not in (x, y))
+            (scrut, sctx), (body, delta) = (_interp(p, m) for p in d.premises)
+            shifted = _shift(sctx, shift)
+            ctx = shifted + delta
             delta_obj = context_obj(m, delta)
             split = structural(
                 m,
-                context_shape(m, d.ctx),
+                context_shape(m, ctx),
+                ShapeNode(context_shape(m, shifted), context_shape(m, delta)),
+            )
+            mor = m.compose_all(
+                [
+                    split,
+                    m.tensor_mor(_absorb(m, shift, sctx), m.identity(delta_obj)),
+                    m.tensor_mor(m.act_mor(shift, scrut), m.identity(delta_obj)),
+                    m.tensor_mor(m.dist_unit(shift), m.identity(delta_obj)),
+                    m.lunit(delta_obj),
+                    body,
+                ]
+            )
+            return mor, ctx
+
+        case "pair-elim":
+            shift = d.params[0]
+            (scrut, sctx), (body, bctx) = (_interp(p, m) for p in d.premises)
+            x, y = d.term.x, d.term.y
+            tensor_ty = d.premises[0].type
+            a_obj = m.type_obj(tensor_ty.left)
+            b_obj = m.type_obj(tensor_ty.right)
+            shifted = _shift(sctx, shift)
+            delta = tuple(e for e in bctx if e.name not in (x, y))
+            ctx = shifted + delta
+            delta_obj = context_obj(m, delta)
+            split = structural(
+                m,
+                context_shape(m, ctx),
                 ShapeNode(context_shape(m, shifted), context_shape(m, delta)),
             )
             binder_shape = ShapeNode(
@@ -160,57 +163,56 @@ def _interp(d: Derivation, m: Model) -> Any:
                 ),
                 context_shape(m, delta),
             )
-            reorder = structural(m, binder_shape, context_shape(m, body.ctx))
-            return m.compose_all(
+            reorder = structural(m, binder_shape, context_shape(m, bctx))
+            mor = m.compose_all(
                 [
                     split,
-                    m.tensor_mor(_absorb(m, shift, scrut.ctx), m.identity(delta_obj)),
-                    m.tensor_mor(m.act_mor(shift, _interp(scrut, m)), m.identity(delta_obj)),
+                    m.tensor_mor(_absorb(m, shift, sctx), m.identity(delta_obj)),
+                    m.tensor_mor(m.act_mor(shift, scrut), m.identity(delta_obj)),
                     m.tensor_mor(m.dist_tensor_inv(shift, a_obj, b_obj), m.identity(delta_obj)),
                     reorder,
-                    _interp(body, m),
+                    body,
                 ]
             )
+            return mor, ctx
 
         case "box-intro":
             grade = d.params[0]
-            (body,) = d.premises
-            return m.compose(
-                m.act_mor(grade, _interp(body, m)), _absorb(m, grade, body.ctx)
-            )
+            body, bctx = _interp(d.premises[0], m)
+            return m.compose(m.act_mor(grade, body), _absorb(m, grade, bctx)), _shift(bctx, grade)
 
         case "box-elim":
             grade, binder_grade = d.params
             shift = binder_grade - grade
-            scrut, body = d.premises
+            (scrut, sctx), (body, bctx) = (_interp(p, m) for p in d.premises)
             x = d.term.x
-            a_obj = m.type_obj(scrut.type.body)
-            shifted = tuple(
-                CtxEntry(e.name, e.grade + shift, e.type) for e in scrut.ctx
-            )
-            delta = tuple(e for e in body.ctx if e.name != x)
+            a_obj = m.type_obj(d.premises[0].type.body)
+            shifted = _shift(sctx, shift)
+            delta = tuple(e for e in bctx if e.name != x)
+            ctx = shifted + delta
             delta_obj = context_obj(m, delta)
             split = structural(
                 m,
-                context_shape(m, d.ctx),
+                context_shape(m, ctx),
                 ShapeNode(context_shape(m, shifted), context_shape(m, delta)),
             )
             binder_shape = ShapeNode(
                 ShapeLeaf(m.act_obj(binder_grade, a_obj), x), context_shape(m, delta)
             )
-            reorder = structural(m, binder_shape, context_shape(m, body.ctx))
-            return m.compose_all(
+            reorder = structural(m, binder_shape, context_shape(m, bctx))
+            mor = m.compose_all(
                 [
                     split,
-                    m.tensor_mor(_absorb(m, shift, scrut.ctx), m.identity(delta_obj)),
-                    m.tensor_mor(m.act_mor(shift, _interp(scrut, m)), m.identity(delta_obj)),
+                    m.tensor_mor(_absorb(m, shift, sctx), m.identity(delta_obj)),
+                    m.tensor_mor(m.act_mor(shift, scrut), m.identity(delta_obj)),
                     m.tensor_mor(
                         m.multiplicator(shift, grade, a_obj), m.identity(delta_obj)
                     ),
                     reorder,
-                    _interp(body, m),
+                    body,
                 ]
             )
+            return mor, ctx
 
     raise ModelError(f"unknown derivation rule {d.rule!r}")
 
@@ -220,16 +222,17 @@ def interpret(j: Judgement, evidence: Derivation, m: Model) -> Any:
 
     Raises ModelError when the derivation's context differs from the
     judgement's in names or grades, or the result is not such a morphism.
+    Each node's context is built from its premises' as the node is
+    interpreted; the evidence is only read.
     """
-    fill_contexts(evidence)  # every node's context, read below, in one pass
     if {(e.name, e.grade) for e in evidence.ctx} != {(e.name, e.grade) for e in j.ctx}:
         raise ModelError(
             f"derivation's context ({print_context(evidence.ctx)}) differs from"
             f" the judgement's ({print_context(j.ctx)})"
         )
-    mor = _interp(evidence, m)
+    mor, ctx = _interp(evidence, m)
     declared = context_shape(m, j.ctx)
-    derived = context_shape(m, evidence.ctx)
+    derived = context_shape(m, ctx)
     if not shapes_equal(declared, derived):
         mor = m.compose(mor, structural(m, declared, derived))
     if not m.obj_eq(m.dom(mor), shape_obj(m, declared)):

@@ -183,10 +183,8 @@ class _Parser:
             self._starts = _line_starts(self.text)
         return _line_col(self._starts, tok[2])
 
-    def peek(self, ahead: int = 0) -> _Token:
-        if not ahead:  # ``next`` never moves past the eof token
-            return self.toks[self.pos]
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        return self.toks[self.pos]  # ``next`` never moves past the eof token
 
     def next(self) -> _Token:
         tok = self.toks[self.pos]
@@ -224,12 +222,12 @@ class _Parser:
             return int(text)
         raise self.fail(f"expected integer, found {text or 'end of input'!r}")
 
-    def at_punct(self, ch: str, ahead: int = 0) -> bool:
-        kind, text, _ = self.peek(ahead)
+    def at_punct(self, ch: str) -> bool:
+        kind, text, _ = self.peek()
         return kind == "punct" and text == ch
 
-    def at_keyword(self, word: str, ahead: int = 0) -> bool:
-        kind, text, _ = self.peek(ahead)
+    def at_keyword(self, word: str) -> bool:
+        kind, text, _ = self.peek()
         return kind == "ident" and text == word
 
     # types ------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .chip import ChipSpec
@@ -455,7 +454,7 @@ class Derivation:
     ``params`` holds the rule's grade data: unit-elim ``(d,)``, gate
     ``(duration,)``, pair-elim ``(d,)``, box-intro ``(d,)``, box-elim
     ``(d, e)``; empty otherwise.  ``ctx``, the node's context, is derived
-    from these on first read.  Synthesis builds the whole tree in one pass;
+    from these when read.  Synthesis builds the whole tree in one pass;
     a let's grades, which may depend on slacks, are settled once the grade
     equations are solved, before ``check`` or ``infer`` returns.
     """
@@ -466,7 +465,7 @@ class Derivation:
     params: tuple[int, ...]
     premises: tuple["Derivation", ...]
 
-    @cached_property
+    @property
     def ctx(self) -> Context:
         """The subtree's free variables, left to right.
 
@@ -511,35 +510,6 @@ def premise_shifts(d: Derivation) -> tuple[int, ...]:
     if rule in ("pair-intro", "var", "unit-intro"):
         return (0,) * len(d.premises)
     raise ValueError(f"unknown derivation rule {rule!r}")
-
-
-def fill_contexts(root: Derivation) -> None:
-    """Cache the context of every node under ``root``, bottom-up in one pass.
-
-    A node's context is its premises' contexts, each shifted by its premise
-    shift, without the names a let binds over its body.  This is for readers
-    of every node's context, such as ``interpret``: first reads from the top
-    down would walk each subtree again.
-    """
-    stack: list[tuple[Derivation, bool]] = [(root, False)]
-    while stack:
-        d, ready = stack.pop()
-        if not ready:
-            stack.append((d, True))
-            stack += [(p, False) for p in d.premises]
-            continue
-        if d.rule == "var":
-            ctx: Context = (CtxEntry(d.term.name, 0, d.type),)
-        else:
-            last = len(d.premises) - 1
-            names = binders(d.term)  # bound over the last premise, the let's body
-            ctx = tuple(
-                e if not s else CtxEntry(e.name, e.grade + s, e.type)
-                for i, (p, s) in enumerate(zip(d.premises, premise_shifts(d)))
-                for e in p.ctx
-                if i < last or e.name not in names
-            )
-        d.__dict__["ctx"] = ctx
 
 
 def check(j: Judgement, chip: ChipSpec) -> Derivation:

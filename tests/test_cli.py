@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +291,78 @@ def test_usage_error_for_unknown_flags(chip0_path, corpus_path):
 def test_budget_default_is_the_library_default(command):
     args = pstt.cli.build_parser().parse_args([command, "f.pstt", "--chip", "chip.json"])
     assert args.budget == DEFAULT_BUDGET
+
+
+def test_emit_reports_an_output_it_cannot_write(tmp_path, chip0_path, corpus_path):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        code, out, err = invoke(
+            "emit", str(corpus_path), "--chip", str(chip0_path),
+            "--name", "single_h1", "-o", str(target),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "internal error" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_the_module_runs_as_a_script(tmp_path, chip0_path, corpus_path):
+    path = [str(Path(pstt.cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def script(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "pstt.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = script("check", str(corpus_path), "--chip", str(chip0_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.strip().splitlines()) == 20
+    bad = tmp_path / "bad.pstt"
+    bad.write_text("schedule bad (x:^0 q1) : [30] q1 = box[30] x\n")
+    proc = script("check", str(bad), "--chip", str(chip0_path))
+    assert proc.returncode == 1
+    assert "grade mismatch" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selfcheck", "--cases", "-3"),
+        ("selfcheck", "--cases", "two"),
+        ("selfcheck", "--budget", "-1"),
+        ("normalize", "f.pstt", "--budget", "-1"),
+        ("eq", "f.pstt", "--budget", "-1", "--name", "a", "--name", "b"),
+    ],
+)
+def test_counts_must_not_be_negative(chip0_path, capsys, argv):
+    code, out, _ = invoke(*argv, "--chip", str(chip0_path))
+    assert (code, out) == (1, "")
+    assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_zero_counts_are_valid(chip0_path, corpus_path):
+    code, out, err = invoke("selfcheck", "--chip", str(chip0_path), "--cases", "0")
+    assert (code, err) == (0, "")
+    assert "linearity: 0/0 ok" in out
+    code, out, err = invoke("normalize", str(corpus_path), "--chip", str(chip0_path), "--budget", "0")
+    assert err == ""
+    assert len(out.splitlines()) == 20
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--help",), 0),
+        (("check", "--help"), 0),
+        (("--version",), 0),
+        ((), 1),
+        (("bogus",), 1),
+        (("check", "f.pstt"), 1),
+        (("check", "f.pstt", "--chip", "c.json", "--bogus"), 1),
+    ],
+)
+def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, expected):
+    assert invoke(*argv)[0] == expected
+    captured = capsys.readouterr()
+    assert ("usage:" in captured.err) == bool(expected)

@@ -1,6 +1,6 @@
 """The lean compile path against the code it replaced.
 
-``Derivation.ctx`` is derived from the node's subtree when first read, and
+``Derivation.ctx`` is derived from the node's subtree when read, and
 ``to_json`` writes the document's layout directly.  The references are the
 replaced code, kept here: the per-rule context construction ``_elaborate``
 ran at every node, and ``json.dumps`` with ``indent=2``.
@@ -26,7 +26,6 @@ from pstt import typecheck
 from pstt.schedule import Channel, Schedule
 from pstt.semantics import PulseModel, interpret
 from pstt.testkit import GenConfig, gen_judgement
-from pstt.typecheck import fill_contexts
 from test_strict_fast_path import layer_chip, layer_judgement
 
 # ---------------------------------------------------------------- contexts
@@ -107,8 +106,6 @@ def test_contexts_match_the_per_rule_construction(chip0):
                 for jj in (j, under_unit_spine(j, rng)):
                     evidence = check(jj, chip0)
                     assert_contexts_match(evidence)  # read through the subtree walk
-                    fill_contexts(evidence)
-                    assert_contexts_match(evidence)  # built bottom-up
                     assert {(e.name, e.grade) for e in evidence.ctx} == {
                         (e.name, e.grade) for e in jj.ctx
                     }
@@ -133,9 +130,10 @@ def test_contexts_of_a_deep_spine_are_read_without_recursion(chip0):
 
 
 def test_interpret_reads_every_context_in_linear_work(chip0, monkeypatch):
-    """``interpret`` reads each node's context; filling them bottom-up first
-    visits every node once, where first reads from the top down would walk
-    each subtree again (about n * n / 2 visits on an n-gate chain)."""
+    """``interpret`` uses each node's context; building them from the
+    premises' as it goes visits every node once, where reads from the top
+    down would walk each subtree again (about n * n / 2 visits on an n-gate
+    chain)."""
     n = 300
     j = parse(f"schedule c (x:^{-20 * n} q1) : q1 = {'H1(' * n}x{')' * n}\n").declarations[0].judgement
     evidence = check(j, chip0)
@@ -150,6 +148,23 @@ def test_interpret_reads_every_context_in_linear_work(chip0, monkeypatch):
     monkeypatch.setattr(typecheck, "premise_shifts", counted)
     interpret(j, evidence, PulseModel(chip0))
     assert visits <= 2 * len(list(nodes(evidence)))
+
+
+def test_interpret_only_reads_the_evidence(chip0, corpus):
+    """Evidence is plain data: interpreting it writes nothing into any node."""
+    judgements = [decl.judgement for decl in corpus.declarations]
+    for seed in (7, 2025):
+        rng = random.Random(seed)
+        for depth in range(4, 9):
+            cfg = GenConfig(chip=chip0, seed=seed, max_depth=depth)
+            judgements += [gen_judgement(cfg, rng=rng) for _ in range(4)]
+    model = PulseModel(chip0)
+    for j in judgements:
+        evidence = check(j, chip0)
+        before = {id(d): {k: id(v) for k, v in vars(d).items()} for d in nodes(evidence)}
+        interpret(j, evidence, model)
+        for d in nodes(evidence):
+            assert {k: id(v) for k, v in vars(d).items()} == before[id(d)], d.rule
 
 
 # -------------------------------------------------------------------- JSON
