@@ -49,7 +49,7 @@ def _error_text(message: str) -> str:
 def _load_chip(path: str) -> ChipSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Fail(f"cannot read chip file {path}: {exc}") from exc
     try:
         return parse_chip_spec(text)
@@ -60,7 +60,7 @@ def _load_chip(path: str) -> ChipSpec:
 def _load_source(path: str) -> SourceFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Fail(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)

@@ -16,6 +16,10 @@ Grammar sketch (``*`` on types is right-associative, ``[d]`` binds tighter)::
     gate  ::= ident | ident "[" ident "," int "]"
 
 ``#`` starts a line comment.  Let bodies extend as far right as possible.
+
+The lexer cuts a text into a flat list of token texts with one
+``re.split``.  The parser indexes that list, tells a token's kind by its
+first character, and works out a position only where it reports one.
 """
 
 from __future__ import annotations
@@ -94,63 +98,62 @@ class SourceFile:
 # ------------------------------------------------------------------ lexer
 
 
-# A token is ``(kind, text, offset)``; ``kind`` is ident, int, punct or
-# eof, and ``offset`` is the index in the source of its first character.
-_Token = tuple[str, str, int]
-
-# Whitespace and comments, then one token.  An ASCII int or identifier is
-# matched outright unless non-ASCII text follows it.  Any other run of
-# letters, digits and underscores, after an optional ``-``, goes to
-# ``_lex_word``: ``\w`` is exactly ``str.isalnum`` or ``_``, but ``\d`` and
+# Comments are blanked out first, which keeps every offset.  ASCII text of
+# blanks and tokens, with ``-`` only before a digit (``_PLAIN``), is then cut
+# by ``_SPLIT`` alone.  Other text is cut into punctuation, runs of ``\w``
+# after an optional ``-``, and single other characters, and ``_lex_word``
+# splits each run: ``\w`` is exactly ``str.isalnum`` or ``_``, but ``\d`` and
 # ``[^\W\d]`` are not ``str.isdigit`` and ``str.isalpha`` beyond ASCII.
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]|#[^\n]*)*"
-    r"(?:(-?[0-9]+)(?![0-9]|[^\x00-\x7f])"
-    r"|([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_]|[^\x00-\x7f])"
-    r"|([()\[\],:^=*])"
-    r"|(-?\w+)"
-    r"|(.)"
-    r"|\Z)"
-)
-_KINDS = (None, "int", "ident", "punct")
+_PUNCT = frozenset("()[],:^=*")
+_SPLIT = re.compile(r"([()\[\],:^=*]|[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+)")
+_PLAIN = re.compile(r"[\t\n\r 0-9A-Z_a-z()\[\],:^=*]*(?:-[0-9][\t\n\r 0-9A-Z_a-z()\[\],:^=*]*)*")
+_WORDS = re.compile(r"([()\[\],:^=*]|-?\w+|[^ \t\r\n])")
+_COMMENT = re.compile(r"#[^\n]*")
 
 
-def _lex(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    for m in _TOKEN.finditer(text):
-        k = m.lastindex
-        if k is None:
-            break
-        if k < 4:
-            toks.append((_KINDS[k], m.group(k), m.start(k)))
-        elif k == 4:
-            toks += _lex_word(text, m.start(4), m.end(4))
-        else:
-            raise _unexpected(text, m.start(5))
-    # The end of input sits after the last token, or on a comment that ends the text.
-    last_line = max(text.rfind("\n", m.start()) + 1, m.start())
-    comment = text.find("#", last_line)
-    toks.append(("eof", "", len(text) if comment < 0 else comment))
-    return toks
+def _lex(text: str) -> list[str]:
+    """``text`` cut into pieces, blanks and tokens in turn, that join up to
+    ``text`` with its comments blanked out: a token's offset is the summed
+    length of the pieces before it."""
+    if "#" in text:
+        text = _COMMENT.sub(lambda m: " " * len(m[0]), text)
+    if _PLAIN.fullmatch(text):
+        return _SPLIT.split(text)
+    out: list[str] = []
+    at = 0
+    for k, piece in enumerate(_WORDS.split(text)):
+        out += _lex_word(text, at, at + len(piece)) if k % 2 and piece not in _PUNCT else [piece]
+        at += len(piece)
+    return out
 
 
-def _lex_word(text: str, i: int, end: int) -> list[_Token]:
-    """Tokens of ``text[i:end]``, a run of letters, digits and underscores
-    after an optional ``-``, classified by ``str.isalpha``/``isdigit``."""
-    toks: list[_Token] = []
+def _lex_word(text: str, i: int, end: int) -> list[str]:
+    """Tokens of ``text[i:end]`` with empty blanks between them: ``text[i:end]`` is
+    a run of letters, digits and underscores after an optional ``-``, split by
+    ``str.isalpha``/``isdigit``."""
+    pieces: list[str] = []
     while i < end:
         ch = text[i]
         if ch.isalpha() or ch == "_":
-            toks.append(("ident", text[i:end], i))
+            pieces += ("", text[i:end])
             break
         if not (ch.isdigit() or (ch == "-" and i + 1 < end and text[i + 1].isdigit())):
             raise _unexpected(text, i)
         j = i + 1
         while j < end and text[j].isdigit():
             j += 1
-        toks.append(("int", text[i:j], i))
+        pieces += ("", text[i:j])
         i = j
-    return toks
+    return pieces[1:]
+
+
+def _is_int(token: str) -> bool:
+    return token[:1] == "-" or token[:1].isdigit()
+
+
+def _is_name(token: str) -> bool:
+    """An identifier that is not a keyword."""
+    return (token[:1].isalpha() or token[:1] == "_") and token not in _KEYWORDS
 
 
 def _unexpected(text: str, i: int) -> ParseError:
@@ -172,63 +175,69 @@ def _line_col(starts: list[int], offset: int) -> tuple[int, int]:
 
 
 class _Parser:
+    """Parses ``toks``, the token texts, from ``toks[self.i]`` on.  A final
+    ``""`` stands for the end of input, which no token test accepts."""
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = _lex(text)
-        self.pos = 0
+        self.pieces = _lex(text)
+        self.toks = self.pieces[1::2] + [""]
+        self.i = 0
         self._starts: list[int] | None = None
+        self._summed = (0, 0)  # (pieces, their length): where ``offset`` last stopped
 
-    def line_col(self, tok: _Token) -> tuple[int, int]:
+    def offset(self, k: int) -> int:
+        """Where token ``k`` starts in the text."""
+        pieces, text = self.pieces, self.text
+        if k == len(self.toks) - 1:
+            # The end of input sits after the last token, or on a comment that ends the text.
+            end = len(text) - len(pieces[-1])
+            comment = text.find("#", max(text.rfind("\n", end) + 1, end))
+            return len(text) if comment < 0 else comment
+        n, at = self._summed
+        if 2 * k + 1 < n:
+            n, at = 0, 0
+        at += sum(map(len, pieces[n : 2 * k + 1]))
+        self._summed = (2 * k + 1, at)
+        return at
+
+    def line_col(self, k: int) -> tuple[int, int]:
         if self._starts is None:
             self._starts = _line_starts(self.text)
-        return _line_col(self._starts, tok[2])
+        return _line_col(self._starts, self.offset(k))
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]  # ``next`` never moves past the eof token
-
-    def next(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
-        line, col = self.line_col(tok or self.peek())
+    def fail(self, message: str, k: int | None = None) -> ParseError:
+        line, col = self.line_col(self.i if k is None else k)
         return ParseError(Diagnostic("error", message, line, col))
 
-    def expect_punct(self, ch: str) -> _Token:
-        kind, text, _ = self.peek()
-        if kind == "punct" and text == ch:
-            return self.next()
-        raise self.fail(f"expected {ch!r}, found {text or 'end of input'!r}")
+    def expected(self, what: str) -> ParseError:
+        return self.fail(f"expected {what}, found {self.toks[self.i] or 'end of input'!r}")
 
-    def expect_keyword(self, word: str) -> _Token:
-        kind, text, _ = self.peek()
-        if kind == "ident" and text == word:
-            return self.next()
-        raise self.fail(f"expected {word!r}, found {text or 'end of input'!r}")
+    def expect(self, token: str) -> None:
+        """Step over ``token``, a punctuation character or a keyword."""
+        if self.toks[self.i] != token:
+            raise self.expected(repr(token))
+        self.i += 1
 
-    def expect_ident(self, what: str = "identifier") -> str:
-        kind, text, _ = self.peek()
-        if kind == "ident" and text not in _KEYWORDS:
-            self.next()
-            return text
-        raise self.fail(f"expected {what}, found {text or 'end of input'!r}")
+    def name(self, what: str) -> str:
+        token = self.toks[self.i]
+        if not _is_name(token):
+            raise self.expected(what)
+        self.i += 1
+        return token
 
-    def expect_int(self) -> int:
-        kind, text, _ = self.peek()
-        if kind == "int":
-            self.next()
-            return int(text)
-        raise self.fail(f"expected integer, found {text or 'end of input'!r}")
+    def integer(self) -> int:
+        token = self.toks[self.i]
+        if not _is_int(token):
+            raise self.expected("integer")
+        self.i += 1
+        return int(token)
 
-    def at_punct(self, ch: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "punct" and text == ch
-
-    def at_keyword(self, word: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "ident" and text == word
+    def bracketed_int(self) -> int:
+        self.expect("[")
+        d = self.integer()
+        self.expect("]")
+        return d
 
     # types ------------------------------------------------------------
 
@@ -239,44 +248,41 @@ class _Parser:
         frame is a box prefix, a tensor waiting for its right side or an
         open parenthesis.
         """
+        toks = self.toks
         frames: list[tuple[str, object]] = []
         while True:
             # Read box prefixes and parentheses until an atom completes a type.
-            kind, text, _ = self.peek()
-            if kind == "punct" and text == "[":
-                self.next()
-                grade = self.expect_int()
-                self.expect_punct("]")
-                frames.append(("box", grade))
+            token = toks[self.i]
+            if token == "[":
+                frames.append(("box", self.bracketed_int()))
                 continue
-            if kind == "punct" and text == "(":
-                self.next()
+            if token == "(":
+                self.i += 1
                 frames.append(("paren", None))
                 continue
-            if kind == "int":
-                if text != "1":
-                    raise self.fail(f"the only numeric type is 1, found {text!r}")
-                self.next()
+            if _is_int(token):
+                if token != "1":
+                    raise self.fail(f"the only numeric type is 1, found {token!r}")
                 ty: TypeExpr = Unit()
-            elif kind == "ident" and text not in _KEYWORDS:
-                self.next()
-                ty = Qubit(text)
+            elif _is_name(token):
+                ty = Qubit(token)
             else:
-                raise self.fail(f"expected a type, found {text or 'end of input'!r}")
+                raise self.expected("a type")
+            self.i += 1
 
             # Hand the finished type outward until a frame needs another one.
             while True:
                 while frames and frames[-1][0] == "box":
                     ty = Box(frames.pop()[1], ty)
-                if self.at_punct("*"):
-                    self.next()
+                if toks[self.i] == "*":
+                    self.i += 1
                     frames.append(("tensor", ty))
                     break
                 while frames and frames[-1][0] == "tensor":
                     ty = Tensor(frames.pop()[1], ty)
                 if not frames:
                     return ty
-                self.expect_punct(")")
+                self.expect(")")
                 frames.pop()  # the parenthesis; boxes before it apply next
 
     # terms ------------------------------------------------------------
@@ -288,48 +294,45 @@ class _Parser:
         after ``in``), a gate's argument list or an open parenthesis; a
         finished term is handed to the innermost frame.
         """
+        toks = self.toks
         frames: list[list] = []
         while True:
             # Read prefixes until an atom completes a term.
-            kind, text, _ = self.peek()
-            if kind == "ident" and text == "let":
+            token = toks[self.i]
+            if token == "let":
+                self.i += 1
                 frames.append(self.parse_let_head())
                 continue
-            if kind == "ident" and text == "box":
-                self.next()
-                self.expect_punct("[")
-                grade = self.expect_int()
-                self.expect_punct("]")
-                frames.append(["box", grade])
+            if token == "box":
+                self.i += 1
+                frames.append(["box", self.bracketed_int()])
                 continue
-            if kind == "punct" and text == "*":
-                self.next()
-                term: TermExpr = Star()
-            elif kind == "ident" and text not in _KEYWORDS:
-                self.next()
-                name = text
-                if self.at_punct("["):
-                    # delay-style gate reference: name[qubit,int]
-                    self.next()
-                    q = self.expect_ident("qubit")
-                    self.expect_punct(",")
-                    d = self.expect_int()
-                    self.expect_punct("]")
-                    name = f"{name}[{q},{d}]"
-                    self.expect_punct("(")
-                    frames.append(["args", name, []])
-                    continue
-                if self.at_punct("("):
-                    self.next()
-                    frames.append(["args", name, []])
-                    continue
-                term = Var(name)
-            elif kind == "punct" and text == "(":
-                self.next()
+            if token == "(":
+                self.i += 1
                 frames.append(["paren"])
                 continue
+            if token == "*":
+                self.i += 1
+                term: TermExpr = Star()
+            elif _is_name(token):
+                self.i += 1
+                if toks[self.i] == "(":
+                    self.i += 1
+                    frames.append(["args", token, []])
+                    continue
+                if toks[self.i] == "[":
+                    # delay-style gate reference: name[qubit,int]
+                    self.i += 1
+                    q = self.name("qubit")
+                    self.expect(",")
+                    d = self.integer()
+                    self.expect("]")
+                    self.expect("(")
+                    frames.append(["args", f"{token}[{q},{d}]", []])
+                    continue
+                term = Var(token)
             else:
-                raise self.fail(f"expected a term, found {text or 'end of input'!r}")
+                raise self.expected("a term")
 
             # Hand the finished term outward until a frame needs another one.
             while frames:
@@ -337,58 +340,56 @@ class _Parser:
                 kind = frame[0]
                 if kind == "args":
                     frame[2].append(term)
-                    if self.at_punct(","):
-                        self.next()
+                    if toks[self.i] == ",":
+                        self.i += 1
                         break
-                    self.expect_punct(")")
+                    self.expect(")")
                     term = GateApp(frame[1], tuple(frame[2]))
                 elif kind == "box":
                     term = BoxIntro(frame[1], term)
                 elif kind == "let":
-                    self.expect_keyword("in")
+                    self.expect("in")
                     frame[0] = "in"
                     frame.append(term)
                     break
                 elif kind == "in":
                     term = frame[1](frame[2], term)
                 elif kind == "paren":
-                    if self.at_punct(","):
-                        self.next()
+                    if toks[self.i] == ",":
+                        self.i += 1
                         frame[0] = "pair"
                         frame.append(term)
                         break
-                    self.expect_punct(")")
+                    self.expect(")")
                 elif kind == "pair":
-                    self.expect_punct(")")
+                    self.expect(")")
                     term = Pair(frame[1], term)
                 frames.pop()
             else:
                 return term
 
     def parse_let_head(self) -> list:
-        """``let ... =``; the frame's builder takes (scrutinee, body)."""
-        self.expect_keyword("let")
-        if self.at_punct("*"):
-            self.next()
-            self.expect_punct("=")
+        """What follows ``let`` up to ``=``; the frame's builder takes (scrutinee, body)."""
+        token = self.toks[self.i]
+        if token == "*":
+            self.i += 1
+            self.expect("=")
             return ["let", LetStar]
-        if self.at_keyword("box"):
-            self.next()
-            self.expect_punct("[")
-            grade = self.expect_int()
-            self.expect_punct("]")
-            x = self.expect_ident("binder")
-            self.expect_punct("=")
+        if token == "box":
+            self.i += 1
+            grade = self.bracketed_int()
+            x = self.name("binder")
+            self.expect("=")
             return ["let", lambda s, b: LetBox(grade, x, s, b)]
-        if self.at_punct("("):
-            self.next()
-            x = self.expect_ident("binder")
-            self.expect_punct(",")
-            y = self.expect_ident("binder")
-            self.expect_punct(")")
+        if token == "(":
+            self.i += 1
+            x = self.name("binder")
+            self.expect(",")
+            y = self.name("binder")
+            self.expect(")")
             if x == y:
                 raise self.fail(f"pair binders must be distinct, got {x!r} twice")
-            self.expect_punct("=")
+            self.expect("=")
             return ["let", lambda s, b: LetPair(x, y, s, b)]
         raise self.fail("expected '*', '(x, y)' or 'box' after 'let'")
 
@@ -396,43 +397,49 @@ class _Parser:
 
     def parse_context(self) -> Context:
         entries: list[CtxEntry] = []
-        if self.at_punct(")"):
+        if self.toks[self.i] == ")":
             return ()
         while True:
-            name_tok = self.peek()
-            name = self.expect_ident("context variable")
-            self.expect_punct(":")
-            self.expect_punct("^")
-            grade = self.expect_int()
-            ty = self.parse_type()
-            entries.append(CtxEntry(name, grade, ty))
-            if self.at_punct(","):
-                self.next()
-                continue
-            break
+            name_at = self.i
+            name = self.name("context variable")
+            self.expect(":")
+            self.expect("^")
+            grade = self.integer()
+            entries.append(CtxEntry(name, grade, self.parse_type()))
+            if self.toks[self.i] != ",":
+                break
+            self.i += 1
         try:
             return make_context(entries)
         except ValueError as exc:
-            raise self.fail(str(exc), name_tok) from exc
+            raise self.fail(str(exc), name_at) from exc
 
     def parse_file(self) -> SourceFile:
         decls: list[Declaration] = []
         names: set[str] = set()
-        while self.peek()[0] != "eof":
-            kw = self.expect_keyword("schedule")
-            name = self.expect_ident("schedule name")
+        while self.toks[self.i]:
+            kw = self.i
+            self.expect("schedule")
+            name = self.name("schedule name")
             if name in names:
                 raise self.fail(f"duplicate declaration {name!r}", kw)
             names.add(name)
-            self.expect_punct("(")
+            self.expect("(")
             ctx = self.parse_context()
-            self.expect_punct(")")
-            self.expect_punct(":")
+            self.expect(")")
+            self.expect(":")
             ty = self.parse_type()
-            self.expect_punct("=")
+            self.expect("=")
             term = self.parse_term()
             decls.append(Declaration(name, ctx, ty, term, *self.line_col(kw)))
         return SourceFile(tuple(decls))
+
+    def parse_all(self, what: str):
+        """A term or a type that takes up the whole text."""
+        result = self.parse_term() if what == "term" else self.parse_type()
+        if self.toks[self.i]:
+            raise self.fail(f"trailing input after {what}: {self.toks[self.i]!r}")
+        return result
 
 
 def parse(text: str) -> SourceFile:
@@ -441,19 +448,11 @@ def parse(text: str) -> SourceFile:
 
 
 def parse_term(text: str) -> TermExpr:
-    p = _Parser(text)
-    term = p.parse_term()
-    if p.peek()[0] != "eof":
-        raise p.fail(f"trailing input after term: {p.peek()[1]!r}")
-    return term
+    return _Parser(text).parse_all("term")
 
 
 def parse_type(text: str) -> TypeExpr:
-    p = _Parser(text)
-    ty = p.parse_type()
-    if p.peek()[0] != "eof":
-        raise p.fail(f"trailing input after type: {p.peek()[1]!r}")
-    return ty
+    return _Parser(text).parse_all("type")
 
 
 # ---------------------------------------------------------------- printer

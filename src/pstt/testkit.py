@@ -257,8 +257,10 @@ def gen_judgement(
             judgement, _, _ = infer(term, gen.var_types, cfg.chip, slacks)
         except (TypingError, _GenFail):
             continue
-        check(judgement, cfg.chip)
-        return judgement
+        # A copy, so that check decides it afresh instead of reusing infer's evidence.
+        j = Judgement(judgement.ctx, term, judgement.type)
+        check(j, cfg.chip)
+        return j
     fallback = Judgement((), Star(), Unit())
     check(fallback, cfg.chip)
     return fallback
@@ -287,8 +289,9 @@ def gen_single_var_judgement(
         except (TypingError, _GenFail):
             continue
         if len(judgement.ctx) == 1 and judgement.ctx[0].grade == 0:
-            check(judgement, cfg.chip)
-            return judgement
+            j = Judgement(judgement.ctx, term, judgement.type)  # checked afresh, as above
+            check(j, cfg.chip)
+            return j
     return None
 
 

@@ -139,6 +139,8 @@ class _Solver:
         return self._next
 
     def resolve(self, a: Affine) -> Affine:
+        if all(sid not in self.solution for sid, _ in a.coeffs):
+            return a  # no solved slack: already resolved
         out = Affine(a.const)
         for sid, c in a.coeffs:
             sol = self.solution.get(sid)
@@ -150,7 +152,16 @@ class _Solver:
 
     def equate(self, a: Affine, b: Affine) -> bool:
         """Require a == b.  Returns False on contradiction."""
-        diff = self.resolve(a).sub(self.resolve(b))
+        a, b = self.resolve(a), self.resolve(b)
+        if len(a.coeffs) + len(b.coeffs) == 1:
+            # A constant against one unsolved slack: ``k * s + c == n`` for ``k`` in {1, -1}.
+            if a.coeffs:
+                a, b = b, a
+            ((sid, k),) = b.coeffs
+            if k == 1 or k == -1:
+                self.solve(sid, Affine(k * (a.const - b.const)))
+                return True
+        diff = a.sub(b)
         if diff.is_const:
             return diff.const == 0
         g = 0
@@ -165,14 +176,17 @@ class _Solver:
             raise SolverStuck(f"no unit coefficient in {diff.render()}")
         sid, c = pivot
         rest = Affine(diff.const, tuple((s, k) for s, k in diff.coeffs if s != sid))
-        value = rest.scale(-c)  # c in {1,-1}: sid = -rest/c
+        self.solve(sid, rest.scale(-c))  # c in {1,-1}: sid = -rest/c
+        return True
+
+    def solve(self, sid: int, value: Affine) -> None:
+        """Record ``sid = value`` and substitute it where ``sid`` was used."""
         self.solution[sid] = value
         users = self._users.pop(sid, set())
         for k in users:
             self.solution[k] = self.resolve(self.solution[k])
         for s, _ in value.coeffs:
             self._users.setdefault(s, set()).update(users | {sid})
-        return True
 
 
 # ------------------------------------------------------------- synthesis
@@ -467,29 +481,8 @@ class Derivation:
 
     @property
     def ctx(self) -> Context:
-        """The subtree's free variables, left to right.
-
-        Each is at the sum of the premise shifts on its path; names that a
-        let inside the subtree binds are dropped.
-        """
-        entries: list[CtxEntry] = []
-        bound: dict[str, int] = {}  # name -> lets binding it around the current node
-        stack: list[tuple] = [(self, 0)]  # (node, grade), or (+1/-1, names) around a let body
-        while stack:
-            d, o = stack.pop()
-            if type(d) is int:
-                for x in o:
-                    bound[x] = bound.get(x, 0) + d
-            elif d.rule == "var":
-                if not bound.get(d.term.name):
-                    entries.append(CtxEntry(d.term.name, o, d.type))
-            elif d.premises:
-                shifted = [(p, o + s) for p, s in zip(d.premises, premise_shifts(d))]
-                names = binders(d.term)
-                if names:  # bound over the last premise, the let's body
-                    shifted[-1:] = [(1, names), shifted[-1], (-1, names)]
-                stack += reversed(shifted)
-        return tuple(entries)
+        """The subtree's free variables, left to right (see ``_free_uses``)."""
+        return tuple(CtxEntry(*use) for use in _free_uses(self))
 
 
 def premise_shifts(d: Derivation) -> tuple[int, ...]:
@@ -512,6 +505,35 @@ def premise_shifts(d: Derivation) -> tuple[int, ...]:
     raise ValueError(f"unknown derivation rule {rule!r}")
 
 
+def _free_uses(root: Derivation) -> list[tuple[str, int, TypeExpr]]:
+    """Name, grade and type of each free variable of ``root``, left to right:
+    each is at the sum of the premise shifts on its path, which the walk
+    reads off the rules.  Names bound by a let inside ``root`` are dropped."""
+    uses: list[tuple[str, int, TypeExpr]] = []
+    bound: dict[str, int] = {}  # name -> lets binding it around the current node
+    stack: list[tuple] = [(root, 0)]  # (node, grade), or (+1/-1, names) around a let body
+    while stack:
+        d, o = stack.pop()
+        if type(d) is int:
+            for x in o:
+                bound[x] = bound.get(x, 0) + d
+        elif d.rule == "var":
+            if not bound.get(d.term.name):
+                uses.append((d.term.name, o, d.type))
+        elif d.rule == "gate" or d.rule == "pair-intro":
+            o -= sum(d.params)  # a gate's arguments finish its duration earlier
+            stack += [(p, o) for p in reversed(d.premises)]
+        elif d.rule == "box-intro":
+            stack.append((d.premises[0], o + d.params[0]))
+        elif d.rule in ("unit-elim", "pair-elim", "box-elim"):
+            shift = d.params[1] - d.params[0] if d.rule == "box-elim" else d.params[0]
+            names = binders(d.term)
+            stack += [(-1, names), (d.premises[1], o), (1, names), (d.premises[0], o + shift)]
+        elif d.rule != "unit-intro":
+            raise ValueError(f"unknown derivation rule {d.rule!r}")
+    return uses
+
+
 def check(j: Judgement, chip: ChipSpec) -> Derivation:
     """Decide derivability of the judgement; returns evidence or raises.
 
@@ -520,7 +542,8 @@ def check(j: Judgement, chip: ChipSpec) -> Derivation:
     ``ChipSpec`` object returns that derivation without deciding again.
     Both are frozen, and checking reads no calibration, so the evidence
     cannot go stale; it lives as long as the judgement.  A failed check
-    keeps nothing.
+    keeps nothing.  A judgement that ``infer`` returns keeps the derivation
+    it was inferred with, for the chip it was inferred on.
     """
     memo = j.__dict__.get("_evidence")
     if memo is not None and memo[0] is chip:
@@ -557,7 +580,7 @@ def check(j: Judgement, chip: ChipSpec) -> Derivation:
             )
 
     synth.settle({})
-    assert {(e.name, e.grade) for e in derivation.ctx} == {
+    assert {(name, grade) for name, grade, _ in _free_uses(derivation)} == {
         (e.name, e.grade) for e in j.ctx
     }, "elaborated context disagrees with the declared one"
     j.__dict__["_evidence"] = (chip, derivation)
@@ -576,7 +599,8 @@ def infer(
     Free slack variables default to 0 (pass ``slack_values`` to choose a
     different derivable instance); that instance is a reporting convention,
     not the only derivable context.  ``pin_grades`` forces chosen variables
-    to specific grades, failing if the term cannot support them.
+    to specific grades, failing if the term cannot support them.  The
+    judgement keeps ``derivation`` as its evidence for ``chip`` (see ``check``).
     """
     derivation, offsets, synth = _synth(term, env, chip)
     for name, grade in (pin_grades or {}).items():
@@ -592,4 +616,6 @@ def infer(
     synth.settle(dict(slack_values or {}))
     offsets = {name: synth.solver.resolve(a) for name, a in offsets.items()}
     report = OffsetReport(derivation.type, offsets, tuple(synth.slacks))
-    return Judgement(derivation.ctx, term, derivation.type), derivation, report
+    judgement = Judgement(derivation.ctx, term, derivation.type)
+    judgement.__dict__["_evidence"] = (chip, derivation)
+    return judgement, derivation, report

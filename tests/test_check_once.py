@@ -3,7 +3,9 @@
 ``emit`` calls ``check`` itself, so the compile path ``check`` → ``emit``
 → ``validate`` → ``to_json`` synthesises one derivation, not two.  The
 evidence is kept on the ``Judgement`` object for the ``ChipSpec`` object it
-was checked against, and dies with the judgement.
+was checked against, and dies with the judgement.  A judgement that
+``infer`` returns keeps the derivation it was inferred with in the same
+way, so ``infer`` → ``emit`` synthesises once too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pstt import (
     TypingError,
     check,
     emit,
+    infer,
     parse,
     parse_chip_spec,
     to_json,
@@ -174,3 +177,65 @@ def test_compile_checks_once_on_a_wide_layer(synth_calls):
 def test_compile_checks_once_on_a_long_chain(chip0, synth_calls):
     j = parse(chain_source(2000)).declarations[0].judgement
     compile_once(j, chip0, synth_calls)
+
+
+# ------------------------------------------------------------------ infer
+
+
+def infer_once(term, env, chip, synth_calls, slack_values=None, pin_grades=None):
+    """``infer`` → ``check`` → ``emit`` → ``validate`` → ``to_json`` synthesises once."""
+    before = len(synth_calls)
+    j, d, _ = infer(term, env, chip, slack_values, pin_grades)
+    assert check(j, chip) is d
+    s = emit(j, chip)
+    assert validate(s, j).passed
+    text = to_json(s)
+    assert len(synth_calls) - before == 1
+    assert text == to_json(emit(fresh(j), chip))
+    return j, d
+
+
+def infer_every_way(j: Judgement, chip, rng, synth_calls) -> None:
+    """Plain, with slack values, with every grade pinned and with one pinned."""
+    env = {e.name: e.type for e in j.ctx}
+    infer_once(j.term, env, chip, synth_calls)
+    slacks = {sid: rng.randint(-90, 90) for sid in typecheck.synthesize(j.term, env, chip).slack_ids}
+    infer_once(j.term, env, chip, synth_calls, slacks)
+    inferred, _ = infer_once(j.term, env, chip, synth_calls, None, {e.name: e.grade for e in j.ctx})
+    assert set(inferred.ctx) == set(j.ctx)
+    if j.ctx:
+        entry = rng.choice(j.ctx)
+        infer_once(j.term, env, chip, synth_calls, slacks, {entry.name: entry.grade})
+
+
+def test_infer_then_emit_synthesises_once_on_corpus(chip0, corpus, synth_calls):
+    rng = random.Random(3)
+    for decl in corpus.declarations:
+        infer_every_way(decl.judgement, chip0, rng, synth_calls)
+
+
+@pytest.mark.parametrize("seed", [7, 2025])
+def test_infer_then_emit_synthesises_once_on_generated(chip0, seed, synth_calls):
+    rng = random.Random(seed)
+    for depth in range(4, 11):
+        cfg = GenConfig(chip=chip0, seed=seed, max_depth=depth, distinct_qubits=True)
+        for _ in range(6):
+            infer_every_way(gen_judgement(cfg, rng=rng), chip0, rng, synth_calls)
+
+
+def test_infer_then_emit_synthesises_once_on_a_long_chain(chip0, synth_calls):
+    j = parse(chain_source(2000)).declarations[0].judgement
+    infer_once(j.term, {"x": j.ctx[0].type}, chip0, synth_calls)
+
+
+def test_inferred_evidence_is_kept_for_that_chip_only(chip0, chip0_path, corpus, synth_calls):
+    other = parse_chip_spec(chip0_path.read_text())
+    for decl in corpus.declarations:
+        env = {e.name: e.type for e in decl.ctx}
+        j, d, _ = infer(decl.term, env, chip0)
+        before = len(synth_calls)
+        e = check(j, other)
+        assert len(synth_calls) - before == 1
+        assert e is not d and same_tree(d, e)
+        assert check(j, other) is e
+        assert len(synth_calls) - before == 1

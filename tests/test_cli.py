@@ -47,6 +47,29 @@ def test_parse_error_exit_code(tmp_path, chip0_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["check", "infer", "normalize", "emit"])
+def test_a_source_that_is_not_utf8_is_a_user_error(tmp_path, chip0_path, corpus_path, command):
+    src = tmp_path / "latin1.pstt"
+    src.write_bytes(corpus_path.read_bytes() + b"# caf\xe9\n\xff")
+    extra = ("--name", "single_h1", "-o", str(tmp_path / "out.json")) if command == "emit" else ()
+    code, out, err = invoke(command, str(src), "--chip", str(chip0_path), *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {src}: ")
+    assert "can't decode byte" in err
+    assert "internal error" not in err
+
+
+def test_a_chip_file_that_is_not_utf8_is_a_user_error(tmp_path, chip0_path, corpus_path):
+    chip = tmp_path / "chip.json"
+    chip.write_bytes(chip0_path.read_bytes().replace(b'"q1"', b'"q\xb9"', 1))
+    for argv in (("check", str(corpus_path)), ("selfcheck",)):
+        code, out, err = invoke(*argv, "--chip", str(chip))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read chip file {chip}: ")
+        assert "can't decode byte" in err
+        assert "internal error" not in err
+
+
 def test_infer_flags_slack_convention(tmp_path, chip0_path):
     src = tmp_path / "s.pstt"
     src.write_text(

@@ -8,7 +8,7 @@ kinds, texts and ``line:col``, and the same ``ParseError`` text and position.
 import random
 
 from pstt import print_context, print_term, print_type
-from pstt.surface import Diagnostic, ParseError, _lex, _line_col, _line_starts
+from pstt.surface import Diagnostic, ParseError, _Parser
 from pstt.testkit import GenConfig, gen_judgement
 
 _PUNCT = "()[],:^=*"
@@ -67,9 +67,19 @@ def outcome(lex, text):
         return str(exc), exc.diagnostic.line, exc.diagnostic.column
 
 
+# ``_lex`` gives token texts only: the parser tells a token's kind by its
+# first character, and its position by the pieces cut before it.
+def kind(token):
+    if not token:
+        return "eof"
+    if token in _PUNCT:
+        return "punct"
+    return "int" if token[0] == "-" or token[0].isdigit() else "ident"
+
+
 def lex_with_positions(text):
-    starts = _line_starts(text)
-    return [(kind, word, *_line_col(starts, at)) for kind, word, at in _lex(text)]
+    p = _Parser(text)
+    return [(kind(word), word, *p.line_col(k)) for k, word in enumerate(p.toks)]
 
 
 def assert_same_tokens(text):

@@ -7,12 +7,18 @@ built a tree of ``_Node`` records carrying ``Affine`` grades, and
 ``_elaborate`` walked it again to copy it into a ``Derivation`` tree.
 Both must give the same derivations node for node, the same offset
 reports, and the same errors.
+
+The reference also keeps its own copy of the grade arithmetic and the
+solver as they were before ``equate`` and ``resolve`` gained fast paths,
+and of ``Derivation.ctx`` as it was before ``check``'s closing cross-check
+read grades from a walk that builds no entries.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 
 import pytest
 
@@ -29,6 +35,7 @@ from pstt import (
     Var,
     parse,
 )
+from pstt import typecheck
 from pstt.chip import ChipSpec, GateDecl
 from pstt.surface import print_type
 from pstt.syntax import (
@@ -49,11 +56,13 @@ from pstt.syntax import (
 )
 from pstt.testkit import GenConfig, gen_judgement
 from pstt.typecheck import (
-    Affine,
     Derivation,
     ErrorKind,
     OffsetReport,
-    _Solver,
+    SolverStuck,
+    _free_uses,
+    premise_shifts,
+    _synth as live_synth,
     check,
     infer,
     synthesize,
@@ -63,6 +72,105 @@ from test_strict_fast_path import layer_chip, layer_judgement
 from test_traversal import chain_source, units_source
 
 # -------------------------------------------------------------- reference
+
+
+@dataclass(frozen=True)
+class RefAffine:
+    """Integer-affine expression: ``const + sum(coeff * slack)``, as ``typecheck.Affine`` was."""
+
+    const: int
+    coeffs: tuple[tuple[int, int], ...] = ()  # (slack id, nonzero coeff), sorted
+
+    @staticmethod
+    def of(const: int) -> "RefAffine":
+        return RefAffine(const)
+
+    @staticmethod
+    def slack(sid: int) -> "RefAffine":
+        return RefAffine(0, ((sid, 1),))
+
+    @property
+    def is_const(self) -> bool:
+        return not self.coeffs
+
+    def shift(self, d: int) -> "RefAffine":
+        return RefAffine(self.const + d, self.coeffs)
+
+    def add(self, other: "RefAffine") -> "RefAffine":
+        out = dict(self.coeffs)
+        for sid, c in other.coeffs:
+            out[sid] = out.get(sid, 0) + c
+        coeffs = tuple(sorted((s, c) for s, c in out.items() if c != 0))
+        return RefAffine(self.const + other.const, coeffs)
+
+    def sub(self, other: "RefAffine") -> "RefAffine":
+        return self.add(other.scale(-1))
+
+    def scale(self, k: int) -> "RefAffine":
+        if k == 0:
+            return RefAffine(0)
+        return RefAffine(self.const * k, tuple((s, c * k) for s, c in self.coeffs))
+
+    def eval(self, assignment: dict[int, int]) -> int:
+        return self.const + sum(c * assignment.get(s, 0) for s, c in self.coeffs)
+
+    def render(self) -> str:
+        parts = [str(self.const)] if self.const or not self.coeffs else []
+        for sid, c in self.coeffs:
+            sign = "+" if c > 0 else "-"
+            mag = "" if abs(c) == 1 else str(abs(c))
+            parts.append(f"{sign} {mag}s{sid}")
+        return " ".join(parts).lstrip("+ ").strip() or "0"
+
+
+class RefSolver:
+    """Incremental integer Gaussian elimination over slack variables, as
+    ``typecheck._Solver`` was before its fast paths."""
+
+    def __init__(self) -> None:
+        self.solution: dict[int, RefAffine] = {}
+        self._users: dict[int, set[int]] = {}  # free slack -> solved slacks using it
+        self._next = 0
+
+    def fresh_slack(self) -> int:
+        self._next += 1
+        return self._next
+
+    def resolve(self, a: RefAffine) -> RefAffine:
+        out = RefAffine(a.const)
+        for sid, c in a.coeffs:
+            sol = self.solution.get(sid)
+            if sol is None:
+                out = out.add(RefAffine(0, ((sid, c),)))
+            else:
+                out = out.add(sol.scale(c))
+        return out
+
+    def equate(self, a: RefAffine, b: RefAffine) -> bool:
+        """Require a == b.  Returns False on contradiction."""
+        diff = self.resolve(a).sub(self.resolve(b))
+        if diff.is_const:
+            return diff.const == 0
+        g = 0
+        for _, c in diff.coeffs:
+            g = gcd(g, abs(c))
+        if g > 1:
+            if diff.const % g:
+                return False
+            diff = RefAffine(diff.const // g, tuple((s, c // g) for s, c in diff.coeffs))
+        pivot = next(((s, c) for s, c in diff.coeffs if abs(c) == 1), None)
+        if pivot is None:
+            raise SolverStuck(f"no unit coefficient in {diff.render()}")
+        sid, c = pivot
+        rest = RefAffine(diff.const, tuple((s, k) for s, k in diff.coeffs if s != sid))
+        value = rest.scale(-c)  # c in {1,-1}: sid = -rest/c
+        self.solution[sid] = value
+        users = self._users.pop(sid, set())
+        for k in users:
+            self.solution[k] = self.resolve(self.solution[k])
+        for s, _ in value.coeffs:
+            self._users.setdefault(s, set()).update(users | {sid})
+        return True
 
 
 @dataclass
@@ -76,7 +184,7 @@ class _Node:
     term: TermExpr
     type: TypeExpr
     rule: str
-    offsets: dict[str, Affine]
+    offsets: dict[str, RefAffine]
     params: tuple = ()
     children: list["_Node"] = field(default_factory=list)
 
@@ -84,7 +192,7 @@ class _Node:
 class _Synth:
     def __init__(self, chip: ChipSpec):
         self.chip = chip
-        self.solver = _Solver()
+        self.solver = RefSolver()
         self.slacks: list[int] = []
 
     def gate_decl(self, name: str, loc: TermExpr) -> GateDecl:
@@ -93,7 +201,7 @@ class _Synth:
             raise TypingError(ErrorKind.UNKNOWN_GATE, f"gate {name!r} is not declared", location=loc)
         return decl
 
-    def merge(self, a: dict[str, Affine], b: dict[str, Affine], loc: TermExpr) -> dict[str, Affine]:
+    def merge(self, a: dict[str, RefAffine], b: dict[str, RefAffine], loc: TermExpr) -> dict[str, RefAffine]:
         """Union of two offset maps, made by moving the smaller into the larger."""
         if len(a) > len(b):
             a, b = b, a
@@ -129,7 +237,7 @@ class _Synth:
                     raise TypingError(
                         ErrorKind.UNBOUND_VARIABLE, f"variable {t.name!r} is not in scope", location=t
                     )
-                node = _Node(t, ty, "var", {t.name: Affine.of(0)})
+                node = _Node(t, ty, "var", {t.name: RefAffine.of(0)})
             elif cls is Star:
                 node = _Node(t, Unit(), "unit-intro", {})
             else:
@@ -241,7 +349,7 @@ class _Synth:
         if cls is LetStar:
             sid = self.solver.fresh_slack()
             self.slacks.append(sid)
-            slack = Affine.slack(sid)
+            slack = RefAffine.slack(sid)
             shifted = {name: a.add(slack) for name, a in ns.offsets.items()}
             offsets = self.merge(shifted, nb.offsets, t)
             return _Node(t, nb.type, "unit-elim", offsets, (slack,), nodes)
@@ -288,10 +396,10 @@ def ref_synthesize(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> 
     return OffsetReport(node.type, offsets, tuple(synth.slacks))
 
 
-def _elaborate(root: _Node, solver: _Solver, assignment: dict[int, int]) -> Derivation:
+def _elaborate(root: _Node, solver: RefSolver, assignment: dict[int, int]) -> Derivation:
     """The derivation of a synthesis tree, built bottom-up with an explicit stack."""
 
-    def grade_of(a: Affine) -> int:
+    def grade_of(a: RefAffine) -> int:
         return solver.resolve(a).eval(assignment)
 
     done: list[Derivation] = []
@@ -305,9 +413,32 @@ def _elaborate(root: _Node, solver: _Solver, assignment: dict[int, int]) -> Deri
         n = len(node.children)
         premises = tuple(done[len(done) - n :])
         del done[len(done) - n :]
-        params = tuple(grade_of(p) if isinstance(p, Affine) else p for p in node.params)
+        params = tuple(grade_of(p) if isinstance(p, RefAffine) else p for p in node.params)
         done.append(Derivation(node.term, node.type, node.rule, params, premises))
     return done[0]
+
+
+def ref_ctx(root: Derivation) -> tuple[CtxEntry, ...]:
+    """``Derivation.ctx`` as it was, from ``premise_shifts``: the subtree's
+    free variables, left to right."""
+    entries: list[CtxEntry] = []
+    bound: dict[str, int] = {}  # name -> lets binding it around the current node
+    stack: list[tuple] = [(root, 0)]  # (node, grade), or (+1/-1, names) around a let body
+    while stack:
+        d, o = stack.pop()
+        if type(d) is int:
+            for x in o:
+                bound[x] = bound.get(x, 0) + d
+        elif d.rule == "var":
+            if not bound.get(d.term.name):
+                entries.append(CtxEntry(d.term.name, o, d.type))
+        elif d.premises:
+            shifted = [(p, o + s) for p, s in zip(d.premises, premise_shifts(d))]
+            names = binders(d.term)
+            if names:  # bound over the last premise, the let's body
+                shifted[-1:] = [(1, names), shifted[-1], (-1, names)]
+            stack += reversed(shifted)
+    return tuple(entries)
 
 
 def ref_check(j: Judgement, chip: ChipSpec) -> Derivation:
@@ -333,7 +464,7 @@ def ref_check(j: Judgement, chip: ChipSpec) -> Derivation:
             )
     for entry in j.ctx:
         offset = node.offsets[entry.name]
-        if not synth.solver.equate(Affine.of(entry.grade), offset):
+        if not synth.solver.equate(RefAffine.of(entry.grade), offset):
             required = synth.solver.resolve(offset)
             raise TypingError(
                 ErrorKind.GRADE_MISMATCH,
@@ -344,7 +475,7 @@ def ref_check(j: Judgement, chip: ChipSpec) -> Derivation:
             )
 
     derivation = _elaborate(node, synth.solver, {})
-    assert {(e.name, e.grade) for e in derivation.ctx} == {
+    assert {(e.name, e.grade) for e in ref_ctx(derivation)} == {
         (e.name, e.grade) for e in j.ctx
     }, "elaborated context disagrees with the declared one"
     return derivation
@@ -370,7 +501,7 @@ def ref_infer(
             raise TypingError(
                 ErrorKind.UNBOUND_VARIABLE, f"cannot pin absent variable {name!r}"
             )
-        if not synth.solver.equate(Affine.of(grade), node.offsets[name]):
+        if not synth.solver.equate(RefAffine.of(grade), node.offsets[name]):
             raise TypingError(
                 ErrorKind.GRADE_MISMATCH,
                 f"variable {name!r} cannot be used at grade {grade}",
@@ -379,7 +510,7 @@ def ref_infer(
     derivation = _elaborate(node, synth.solver, assignment)
     offsets = {name: synth.solver.resolve(a) for name, a in node.offsets.items()}
     report = OffsetReport(node.type, offsets, tuple(synth.slacks))
-    return Judgement(derivation.ctx, term, derivation.type), derivation, report
+    return Judgement(ref_ctx(derivation), term, derivation.type), derivation, report
 
 
 # ------------------------------------------------------------- comparison
@@ -426,6 +557,12 @@ def assert_same_check(j: Judgement, chip: ChipSpec):
     return new
 
 
+def report_key(r: OffsetReport) -> tuple:
+    """An offset report with each grade as ``(const, coeffs)``, whichever class holds it."""
+    offsets = {name: (a.const, a.coeffs) for name, a in r.offsets.items()}
+    return r.result_type, offsets, r.slack_ids, r.rigid, r.slack_scopes
+
+
 def assert_same_infer(term, env, chip, slack_values=None, pin_grades=None):
     args = (term, env, chip, slack_values, pin_grades)
     new, ref = outcome(infer, *args), outcome(ref_infer, *args)
@@ -436,7 +573,7 @@ def assert_same_infer(term, env, chip, slack_values=None, pin_grades=None):
     (jn, dn, rn), (jr, dr, rr) = new, ref
     assert jn.ctx == jr.ctx and jn.term is jr.term and jn.type == jr.type
     assert_same_derivation(dn, dr)
-    assert rn == rr
+    assert report_key(rn) == report_key(rr)
 
 
 def assert_same_synthesize(term, env, chip):
@@ -445,7 +582,7 @@ def assert_same_synthesize(term, env, chip):
     if is_error(ref):
         assert_same_error(new, ref)
     else:
-        assert new == ref
+        assert report_key(new) == report_key(ref)
     return ref
 
 
@@ -582,3 +719,107 @@ def test_ill_typed_mutations_raise_the_same_errors(chip0, corpus):
                 if is_error(result) and result[1] is expected[name]:
                     seen[name] += 1
     assert all(count >= 20 for count in seen.values()), seen
+
+
+# ------------------------------------------------------------ equiv spines
+
+
+def equiv_spined(core: Judgement, n: int, rng: random.Random) -> tuple[Judgement, Judgement]:
+    """``core`` under a spine of ``n`` unit lets in reverse and in sorted order."""
+    units = [f"u{i:02d}" for i in range(n)]
+    ctx = core.ctx + tuple(CtxEntry(u, rng.randint(-60, 60), Unit()) for u in units)
+    sides = []
+    for order in (units[::-1], units):
+        term = core.term
+        for u in reversed(order):
+            term = LetStar(Var(u), term)
+        sides.append(Judgement(ctx, term, core.type))
+    return sides[0], sides[1]
+
+
+def test_reversed_equiv_spines_match_the_reference_solver(chip0):
+    rng = random.Random(41)
+    for depth in (4, 5, 6):
+        cfg = GenConfig(chip=chip0, seed=depth, max_depth=depth)
+        for n in range(4, 21, 2):
+            for side in equiv_spined(gen_judgement(cfg, rng=rng), n, rng):
+                assert_same_everywhere(side, chip0, rng)
+                assert_same_check(grade_off_by_one(side, rng), chip0)
+
+
+# ----------------------------------------------------- the context cross-check
+
+
+def context_grades_by_entries(d: Derivation) -> set[tuple[str, int]]:
+    return {(e.name, e.grade) for e in ref_ctx(d)}
+
+
+def cross_check_grades(d: Derivation) -> set[tuple[str, int]]:
+    """The set ``check``'s closing assertion compares with the declared grades."""
+    return {(name, grade) for name, grade, _ in _free_uses(d)}
+
+
+def checked_judgements(chip0, corpus):
+    rng = random.Random(5)
+    for d in corpus.declarations:
+        yield d.judgement
+        yield under_unit_spine(d.judgement, rng)
+    for j, rng in generated(chip0, 23, 5):
+        yield j
+        yield under_unit_spine(j, rng)
+        yield from equiv_spined(j, rng.randint(4, 12), rng)
+
+
+def test_the_cross_check_reads_the_grades_of_the_derivation_context(chip0, corpus):
+    rng = random.Random(9)
+    binders_seen = 0
+    for j in checked_judgements(chip0, corpus):
+        env = {e.name: e.type for e in j.ctx}
+        slacks = {sid: rng.randint(-90, 90) for sid in synthesize(j.term, env, chip0).slack_ids}
+        for d in (check(j, chip0), infer(j.term, env, chip0, slacks)[1]):
+            # Every subtree, so that names its lets bind are free below them.
+            for node in iter_derivation(d):
+                assert cross_check_grades(node) == context_grades_by_entries(node)
+                assert node.ctx == ref_ctx(node)
+                binders_seen += bool(binders(node.term))
+    assert binders_seen > 100
+    for source in (units_source, chain_source):
+        d = check(parse(source(2_000)).declarations[0].judgement, chip0)
+        assert cross_check_grades(d) == context_grades_by_entries(d)
+        assert d.ctx == ref_ctx(d)
+
+
+def bump(d: Derivation, index: int) -> Derivation:
+    """Raise the first param of ``d``'s ``index``-th node by one, in place."""
+    node = list(iter_derivation(d))[index]
+    object.__setattr__(node, "params", (node.params[0] + 1, *node.params[1:]))
+    return node
+
+
+def test_a_param_off_by_one_trips_the_context_assertion(chip0, corpus, monkeypatch):
+    tripped = 0
+    for j in checked_judgements(chip0, corpus):
+        fresh = Judgement(j.ctx, j.term, j.type)
+        declared = {(e.name, e.grade) for e in j.ctx}
+        d = check(fresh, chip0)
+        # The first gate or box whose param moves a declared grade.
+        for index, node in enumerate(iter_derivation(d)):
+            if node.rule in ("gate", "box-intro"):
+                bump(d, index)
+                if context_grades_by_entries(d) != declared:
+                    break
+                object.__setattr__(node, "params", (node.params[0] - 1, *node.params[1:]))
+        else:
+            continue
+
+        def off_by_one(*args, index=index):
+            derivation, offsets, synth = live_synth(*args)
+            bump(derivation, index)
+            return derivation, offsets, synth
+
+        with monkeypatch.context() as m:
+            m.setattr(typecheck, "_synth", off_by_one)
+            with pytest.raises(AssertionError, match="elaborated context disagrees"):
+                check(Judgement(j.ctx, j.term, j.type), chip0)
+        tripped += 1
+    assert tripped >= 100
