@@ -4,7 +4,8 @@ Orientation: beta rules and the pair/box eta rules contract; the commuting
 conversions hoist every let-binder outward (out of gate arguments, pair
 components, boxes and scrutinee positions) until all lets form one prefix,
 which is then sorted in one pass by the printed scrutinee, keeping every
-let below the lets it depends on.
+let below the lets it depends on.  A sort key holds the keys of those lets
+by reference, so keys stay linear in the spine's size.
 
 The unit eta rule is oriented as an *expansion* ``z -> let * = z in *`` on
 unit-typed variables.  Contraction is grade-sensitive (the let's context
@@ -211,19 +212,26 @@ def _wrap(lets: list[TermExpr], core: TermExpr) -> TermExpr:
     return core
 
 
-def _spine_keys(lets: list[TermExpr]) -> tuple[list[str], list[set[int]]]:
+def _spine_keys(lets: list[TermExpr]) -> tuple[list[tuple], list[set[int]]]:
     """Alpha-stable sort keys for a let prefix, and the lets each one uses.
 
-    A scrutinee variable bound by an earlier spine let is rendered as a
-    token built from that let's own key and the binder slot, so renaming
-    binders cannot change the ordering.  Every binder must differ from
-    every other binder and from every name free in a scrutinee at or above
-    it (``freshen_binders`` makes it so and the rules keep it so); then any
+    A key is a tuple of text pieces with, between them, the keys of the
+    earlier spine lets whose binders the scrutinee uses, held by reference:
+    ``(prefix + t0 + "<", K_a, f"#{slot}>" + t1 + ...)``.  Joined up, it is
+    the scrutinee with each such binder printed as its owner's key and slot,
+    so renaming binders cannot change the ordering.  Tuple order is the
+    joined texts' order: ``<``, ``#`` and ``>`` appear only as delimiters; a
+    piece before a reference ends in ``<``, so it is never a proper prefix
+    of the piece it meets; and where one printed let-free scrutinee is a
+    proper prefix of another, the next character (an identifier character,
+    ``(`` or ``[``) is above ``#``.  Every binder must differ from every
+    other binder and from every name free in a scrutinee at or above it
+    (``freshen_binders`` makes it so and the rules keep it so); then any
     order that respects the dependencies rebuilds without capture.
     """
     owner: dict[str, tuple[int, int]] = {}
     outer: set[str] = set()  # free names of scrutinees that no spine let binds
-    keys: list[str] = []
+    keys: list[tuple] = []
     deps: list[set[int]] = []
     for i, node in enumerate(lets):
         scrut = node.scrutinee
@@ -233,10 +241,11 @@ def _spine_keys(lets: list[TermExpr]) -> tuple[list[str], list[set[int]]]:
                 used.append(b)
             else:
                 outer.add(b)
-        ren = {b: Var(f"<{keys[owner[b][0]]}#{owner[b][1]}>") for b in used}
-        rendered = print_term(subst_parallel(scrut, ren)) if ren else print_term(scrut)
+        ren = {b: Var(f"<\0{b}\0#{owner[b][1]}>") for b in used}
         prefix = f"box[{node.grade}]:" if type(node) is LetBox else f"{_KIND[type(node)]}:"
-        keys.append(prefix + rendered)
+        pieces = (prefix + print_term(subst_parallel(scrut, ren) if ren else scrut)).split("\0")
+        pieces[1::2] = [keys[owner[b][0]] for b in pieces[1::2]]
+        keys.append(tuple(pieces))
         deps.append({owner[b][0] for b in used})
         for slot, b in enumerate(binders(node)):
             if b in owner or b in outer:

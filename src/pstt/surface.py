@@ -228,7 +228,7 @@ class _Parser:
 
     def integer(self) -> int:
         token = self.toks[self.i]
-        if not _is_int(token):
+        if not token.removeprefix("-").isdecimal():  # ``int`` takes no other digit
             raise self.expected("integer")
         self.i += 1
         return int(token)

@@ -70,6 +70,17 @@ def test_a_chip_file_that_is_not_utf8_is_a_user_error(tmp_path, chip0_path, corp
         assert "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [("schedule s (x:^² q1) : q1 = x\n", 16), ("schedule s (x:^0 q1) : [0] q1 = box[²] x\n", 37)],
+)
+def test_a_digit_that_is_not_decimal_is_a_parse_error(tmp_path, chip0_path, text, col):
+    src = tmp_path / "digit.pstt"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = invoke("check", str(src), "--chip", str(chip0_path))
+    assert (code, out, err) == (1, "", f"error: {src}:1:{col}: expected integer, found '²'\n")
+
+
 def test_infer_flags_slack_convention(tmp_path, chip0_path):
     src = tmp_path / "s.pstt"
     src.write_text(

@@ -5,9 +5,17 @@ other rule applies it recomputes the canonical order of the let prefix
 (pairwise dependencies, greedy least ready key), makes one adjacent swap
 and rescans the whole term.  ``normalize`` must reach the same normal form
 with the same rule names and the same intermediate terms.
+
+``reference_spine_keys`` is the flattening key builder that the
+by-reference keys replaced, kept as the reference for the canonical order:
+on every spine the normalizer sorts in this module, both key kinds must
+agree on ``<`` and ``==`` for every pair of keys, and the sort must give
+the order that a greedy scan over the flat keys gives.
 """
 
 import random
+
+import pytest
 
 from pstt import (
     CtxEntry,
@@ -21,24 +29,64 @@ from pstt import (
     Unit,
     Var,
     check,
+    parse_term,
     normalize,
     print_term,
 )
+from pstt import equality
 from pstt.equality import (
     RewriteStep,
     _find_rewrite,
     _KIND,
     _rename_binders,
+    _sorted_spine_order,
     _spine,
     _spine_keys,
     _wrap,
 )
-from pstt.syntax import binders, children, free_vars, freshen_binders, rebuild
+from pstt.syntax import binders, children, free_vars, freshen_binders, rebuild, subst_parallel
 from pstt.testkit import GenConfig, gen_judgement
+
+from brickwork import brickwork_chip, brickwork_judgement, chain_judgement, cx_chain_term, twin_chains_term
+
+
+def reference_spine_keys(lets):
+    """Flat text keys: an earlier let's whole key is pasted in for each binder it owns."""
+    owner = {}
+    keys = []
+    for i, node in enumerate(lets):
+        scrut = node.scrutinee
+        used = [b for b in free_vars(scrut) if b in owner]
+        ren = {b: Var(f"<{keys[owner[b][0]]}#{owner[b][1]}>") for b in used}
+        rendered = print_term(subst_parallel(scrut, ren)) if ren else print_term(scrut)
+        prefix = f"box[{node.grade}]:" if type(node) is LetBox else f"{_KIND[type(node)]}:"
+        keys.append(prefix + rendered)
+        for slot, b in enumerate(binders(node)):
+            owner[b] = (i, slot)
+    return keys
+
+
+@pytest.fixture(autouse=True)
+def sorted_spines(monkeypatch):
+    """Check each spine the normalizer sorts against the flat keys; list the spines."""
+    seen = []
+
+    def checked_order(lets):
+        keys, flat = _spine_keys(lets)[0], reference_spine_keys(lets)
+        for a, fa in zip(keys, flat):
+            for b, fb in zip(keys, flat):
+                assert (a < b, a == b) == (fa < fb, fa == fb)
+        order = _sorted_spine_order(lets)
+        assert order == _reference_order(lets)
+        seen.append(lets)
+        return order
+
+    monkeypatch.setattr(equality, "_sorted_spine_order", checked_order)
+    return seen
 
 
 def _reference_order(lets):
-    keys = _spine_keys(lets)[0]
+    keys = reference_spine_keys(lets)
     deps = [
         {i for i in range(j) if not set(free_vars(lets[j].scrutinee)).isdisjoint(binders(lets[i]))}
         for j in range(len(lets))
@@ -156,3 +204,35 @@ def test_tied_keys_match_the_per_swap_engine():
         tied += len(set(keys)) < len(keys)
         assert_same(term)
     assert tied
+
+
+def test_keys_that_meet_at_a_reference_sort_as_their_text(sorted_spines):
+    # A reference meets "(" and "*" (so the piece before it must end in
+    # "<"), a referenced key is a proper prefix of another, and two
+    # references differ only in the slot.
+    term = parse_term(
+        "let (a, b) = x in let (c, d) = x1 in let * = (a, z) in let * = ((y, w), v) in "
+        "let * = (*, z) in let * = H(b) in let * = H(c) in let * = H(a) in (d, u)"
+    )
+    nf = normalize(term)
+    assert sorted_spines and "swap-unit-unit" in nf.rules
+
+
+def test_brickwork_spines_sort_as_with_flat_keys(sorted_spines):
+    for n in (4, 5, 8):
+        chip = brickwork_chip(n, seed=n)
+        for layers in (2, 5, 9, 16):
+            forward = brickwork_judgement(chip, layers)
+            reverse = brickwork_judgement(chip, layers, reverse=True)
+            kw = dict(context=forward.ctx, result_type=forward.type, chip=chip)
+            assert print_term(normalize(forward.term, **kw).term) == print_term(normalize(reverse.term, **kw).term)
+    assert max(len(lets) for lets in sorted_spines) == 56
+
+
+def test_chains_sort_as_with_flat_keys(chip0, sorted_spines):
+    for n in range(1, 13):
+        for text in (cx_chain_term(n), twin_chains_term(n)):
+            j = chain_judgement(text, chip0)
+            normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+            normalize(parse_term(text))
+    assert max(len(lets) for lets in sorted_spines) == 2 * 12 + 8  # the 12-let twins
