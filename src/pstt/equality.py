@@ -5,7 +5,9 @@ conversions hoist every let-binder outward (out of gate arguments, pair
 components, boxes and scrutinee positions) until all lets form one prefix,
 which is then sorted in one pass by the printed scrutinee, keeping every
 let below the lets it depends on.  A sort key holds the keys of those lets
-by reference, so keys stay linear in the spine's size.
+by reference, so keys stay linear in the spine's size.  The sort ends
+normalization: it only permutes independent lets, and no rule's
+applicability depends on their order.
 
 The unit eta rule is oriented as an *expansion* ``z -> let * = z in *`` on
 unit-typed variables.  Contraction is grade-sensitive (the let's context
@@ -476,13 +478,32 @@ def _find_rewrite(
     chip: ChipSpec | None,
     recheck: Callable[[TermExpr], bool] | None,
 ) -> RewriteStep | None:
-    """The next rewrite: the outermost-leftmost hit of the first rule family that has one."""
-    spots = positions(t)
-    for local in (_beta, _eta):
-        for node, up in spots:
-            hit = local(node)
+    """The next rewrite: the outermost-leftmost hit of the first rule family that has one.
+
+    One pre-order walk returns at the first beta redex and notes on its way
+    the first eta redex and the first hoist site, for use when it finds no
+    beta redex; only the chosen hoist renames binders.
+    """
+    eta = site = None
+    stack: list[tuple[TermExpr, Place | None]] = [(t, None)]
+    while stack:
+        node, up = stack.pop()
+        kids = children(node)
+        if type(node) in _KIND:
+            hit = _beta(node)
             if hit is not None:
                 return RewriteStep(hit[0], plug(hit[1], up))
+            if eta is None and (hit := _eta(node)) is not None:
+                eta = hit, up
+            if site is None and type(kids[0]) in _KIND:  # a let hoists from its scrutinee only
+                site = node, up
+        elif site is None and any(type(k) in _KIND for k in kids):
+            site = node, up
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (node, i, up)))
+    if eta is not None:
+        (rule, new), up = eta
+        return RewriteStep(rule, plug(new, up))
     hit = _eta_spine(t, recheck)
     if hit is not None:
         return RewriteStep(*hit)
@@ -490,10 +511,10 @@ def _find_rewrite(
         expanded = _expand_unit_var(t, env, chip)
         if expanded is not None:
             return RewriteStep("eta-unit", expanded)
-    for node, up in spots:
-        hit = _hoist(node)
-        if hit is not None:
-            return RewriteStep(hit[0], plug(hit[1], up))
+    if site is not None:
+        node, up = site
+        rule, new = _hoist(node)
+        return RewriteStep(rule, plug(new, up))
     return None
 
 
@@ -513,6 +534,11 @@ def normalize(
     the grade-aware rules (unit-variable expansion and parked eta
     contraction); without them those rules stay off and fewer equalities
     are recognized.
+
+    A sort pass is the last step.  It runs only when no other rule applies
+    and only permutes independent lets: scrutinees, the core and each let's
+    dependants below it stay as they were, binders are fresh, and keys are
+    alpha-stable with ties kept in order, so nothing applies after it.
     """
     env = {e.name: e.type for e in context} if context is not None else None
     recheck = None
@@ -524,21 +550,19 @@ def normalize(
             except TypingError:
                 return False
 
-    def find_step(t: TermExpr) -> RewriteStep | SortPass | None:
-        # The let prefix is sorted only when no other rule applies.
-        return _find_rewrite(t, env, chip, recheck) or _sort_pass(t)
-
     t = freshen_binders(term)
     steps: list[RewriteStep | SortPass] = []
-    for _ in range(budget):
-        found = find_step(t)
+    while True:
+        # The let prefix is sorted only when no other rule applies.
+        found = _find_rewrite(t, env, chip, recheck) or _sort_pass(t)
         if found is None:
             return NormalForm(t, tuple(steps))
+        if len(steps) >= budget:
+            raise BudgetExceeded(t, budget)
         steps.append(found)
         t = found.result
-    if find_step(t) is None:
-        return NormalForm(t, tuple(steps))
-    raise BudgetExceeded(t, budget)
+        if type(found) is SortPass:  # a sorted prefix is normal (see above)
+            return NormalForm(t, tuple(steps))
 
 
 # ---------------------------------------------------------------- verdict
@@ -559,17 +583,25 @@ class EqVerdict:
     refuted pairs as NOT_EQUAL_SEMANTICS and everything else unresolved as
     UNKNOWN with a reason.  A refutation's ``witness`` is the two sides'
     emitted ``Schedule``s; their provenance locates the gates behind the
-    first differing sample.
+    first differing sample.  ``forms`` holds the two sides' normal forms
+    when both normalizations finished.
     """
 
     kind: EqKind
-    trace: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+    forms: tuple[NormalForm, NormalForm] | None = None
     witness: object = None
     reason: str = ""
 
     @property
     def is_equal(self) -> bool:
         return self.kind is EqKind.EQUAL
+
+    @property
+    def trace(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Each side's rule names, listed only when read."""
+        if self.forms is None:
+            return (), ()
+        return self.forms[0].rules, self.forms[1].rules
 
 
 def judgementally_equal(
@@ -598,17 +630,17 @@ def judgementally_equal(
     except BudgetExceeded:
         return EqVerdict(EqKind.UNKNOWN, reason="budget exhausted")
 
-    traces = (nf_s.rules, nf_t.rules)
+    forms = (nf_s, nf_t)
     if alpha_eq(nf_s.term, nf_t.term):
-        return EqVerdict(EqKind.EQUAL, trace=traces)
+        return EqVerdict(EqKind.EQUAL, forms)
 
     try:
         f = schedule.emit(js, chip)
         g = schedule.emit(jt, chip)
     except schedule.Unschedulable:
-        return EqVerdict(EqKind.UNKNOWN, trace=traces, reason="semantics unavailable")
+        return EqVerdict(EqKind.UNKNOWN, forms, reason="semantics unavailable")
     if f.channels != g.channels:
-        return EqVerdict(EqKind.NOT_EQUAL_SEMANTICS, trace=traces, witness=(f, g))
+        return EqVerdict(EqKind.NOT_EQUAL_SEMANTICS, forms, witness=(f, g))
     return EqVerdict(
-        EqKind.UNKNOWN, trace=traces, reason="normal forms differ, semantics agree"
+        EqKind.UNKNOWN, forms, reason="normal forms differ, semantics agree"
     )

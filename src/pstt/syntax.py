@@ -561,11 +561,15 @@ def alpha_key(t: TermExpr) -> str:
 def freshen_binders(t: TermExpr, extra_avoid: set[str] | None = None) -> TermExpr:
     """Rename binders so all binders and free variables are pairwise distinct.
 
-    Deterministic; a term already satisfying the convention is returned
-    unchanged shape-for-shape.  Names are taken in the order the binders
-    are reached, a let's after its scrutinee's.
+    Deterministic; a term already satisfying the convention (no binder
+    repeats or is free in ``t`` or in ``extra_avoid``) is returned itself,
+    the same object.  Names are taken in the order the binders are reached,
+    a let's after its scrutinee's.
     """
     taken = set(free_vars(t)) | (extra_avoid or set())
+    bound = [x for node, _ in positions(t) for x in binders(node)]
+    if taken.isdisjoint(bound) and len(set(bound)) == len(bound):
+        return t
     vals: list[TermExpr] = []
     stack: list[tuple] = [(_VISIT, t)]
     while stack:

@@ -100,6 +100,10 @@ class Affine:
         return Affine(self.const + d, self.coeffs)
 
     def add(self, other: "Affine") -> "Affine":
+        if not other.coeffs:
+            return Affine(self.const + other.const, self.coeffs)
+        if not self.coeffs:
+            return Affine(self.const + other.const, other.coeffs)
         out = dict(self.coeffs)
         for sid, c in other.coeffs:
             out[sid] = out.get(sid, 0) + c
@@ -139,6 +143,10 @@ class _Solver:
         return self._next
 
     def resolve(self, a: Affine) -> Affine:
+        if len(a.coeffs) == 1:
+            ((sid, c),) = a.coeffs
+            sol = self.solution.get(sid)
+            return a if sol is None else sol.scale(c).shift(a.const)
         if all(sid not in self.solution for sid, _ in a.coeffs):
             return a  # no solved slack: already resolved
         out = Affine(a.const)

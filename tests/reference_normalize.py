@@ -1,0 +1,146 @@
+"""The normalizer as it was before each rewrite step took one walk.
+
+Kept as the reference for ``pstt.equality.normalize``:
+
+* ``find_rewrite`` lists every position of the term, then scans that list
+  once for a beta redex, once for an eta redex and, after the eta-spine
+  and unit-expansion rules, once more for a hoist site;
+* ``normalize`` looks for another step after a sort pass, a whole-term
+  scan and a second sort that confirm the term is normal;
+* ``freshen_binders`` rebuilds every node, also when it renames nothing.
+
+The single-node rules and the sort pass are the package's own.
+"""
+
+from pstt import typecheck
+from pstt.equality import (
+    BudgetExceeded,
+    NormalForm,
+    RewriteStep,
+    _beta,
+    _eta,
+    _eta_spine,
+    _expand_unit_var,
+    _hoist,
+    _sort_pass,
+)
+from pstt.syntax import (
+    _BODY,
+    _BUILD,
+    _CHILDREN,
+    _VISIT,
+    Judgement,
+    Var,
+    _build,
+    binders,
+    children,
+    free_vars,
+    fresh_name,
+    plug,
+    subst_parallel,
+)
+from pstt.typecheck import TypingError
+
+
+def positions(t):
+    """Every subterm of ``t`` in pre-order, each with its place in ``t``."""
+    out = []
+    stack = [(t, None)]
+    while stack:
+        entry = stack.pop()
+        out.append(entry)
+        node, up = entry
+        kids = _CHILDREN[type(node)](node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (node, i, up)))
+    return out
+
+
+def find_rewrite(t, env, chip, recheck):
+    """The next rewrite: the outermost-leftmost hit of the first rule family that has one."""
+    spots = positions(t)
+    for local in (_beta, _eta):
+        for node, up in spots:
+            hit = local(node)
+            if hit is not None:
+                return RewriteStep(hit[0], plug(hit[1], up))
+    hit = _eta_spine(t, recheck)
+    if hit is not None:
+        return RewriteStep(*hit)
+    if env is not None and chip is not None:
+        expanded = _expand_unit_var(t, env, chip)
+        if expanded is not None:
+            return RewriteStep("eta-unit", expanded)
+    for node, up in spots:
+        hit = _hoist(node)
+        if hit is not None:
+            return RewriteStep(hit[0], plug(hit[1], up))
+    return None
+
+
+def freshen_binders(t, extra_avoid=None):
+    """Rename binders so all binders and free variables are pairwise distinct."""
+    taken = set(free_vars(t)) | (extra_avoid or set())
+    vals = []
+    stack = [(_VISIT, t)]
+    while stack:
+        frame = stack.pop()
+        tag, node = frame[0], frame[1]
+        if tag == _BUILD:
+            _build(vals, node, frame[2], frame[3])
+        elif tag == _BODY:
+            names = binders(node)
+            new = []
+            for x in names:
+                nx = fresh_name(x, taken)
+                taken.add(nx)
+                new.append(nx)
+            ren = {x: Var(nx) for x, nx in zip(names, new) if nx != x}
+            stack.append((_BUILD, node, 2, tuple(new)))
+            stack.append((_VISIT, subst_parallel(node.body, ren)))
+        else:
+            kids = children(node)
+            if not kids:
+                vals.append(node)
+            elif binders(node):
+                stack += ((_BODY, node), (_VISIT, node.scrutinee))
+            else:
+                stack.append((_BUILD, node, len(kids), None))
+                stack.extend((_VISIT, k) for k in reversed(kids))
+    return vals[0]
+
+
+def rule_env(context, result_type, chip):
+    """The unit-expansion environment and the parked-eta recheck ``normalize`` derives."""
+    env = {e.name: e.type for e in context} if context is not None else None
+    recheck = None
+    if context is not None and result_type is not None and chip is not None:
+
+        def recheck(t2):
+            try:
+                typecheck.check(Judgement(context, t2, result_type), chip)
+                return True
+            except TypingError:
+                return False
+
+    return env, recheck
+
+
+def normalize(term, *, budget=10_000, context=None, result_type=None, chip=None):
+    """Rewrite to the canonical form; raises BudgetExceeded if it runs long."""
+    env, recheck = rule_env(context, result_type, chip)
+
+    def find_step(t):
+        return find_rewrite(t, env, chip, recheck) or _sort_pass(t)
+
+    t = freshen_binders(term)
+    steps = []
+    for _ in range(budget):
+        found = find_step(t)
+        if found is None:
+            return NormalForm(t, tuple(steps))
+        steps.append(found)
+        t = found.result
+    if find_step(t) is None:
+        return NormalForm(t, tuple(steps))
+    raise BudgetExceeded(t, budget)

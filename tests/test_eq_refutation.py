@@ -50,18 +50,18 @@ def reference_eq(ctx, s, t, type_, chip, *, budget=DEFAULT_BUDGET) -> EqVerdict:
         nf_t = normalize(t, budget=budget, context=ctx, result_type=type_, chip=chip)
     except BudgetExceeded:
         return EqVerdict(EqKind.UNKNOWN, reason="budget exhausted")
-    traces = (nf_s.rules, nf_t.rules)
+    forms = (nf_s, nf_t)
     if alpha_eq(nf_s.term, nf_t.term):
-        return EqVerdict(EqKind.EQUAL, trace=traces)
+        return EqVerdict(EqKind.EQUAL, forms)
     model = PulseModel(chip)
     try:
         f = interpret(Judgement(ctx, s, type_), ev_s, model)
         g = interpret(Judgement(ctx, t, type_), ev_t, model)
     except MissingCalibration:
-        return EqVerdict(EqKind.UNKNOWN, trace=traces, reason="semantics unavailable")
+        return EqVerdict(EqKind.UNKNOWN, forms, reason="semantics unavailable")
     if not model.mor_eq(f, g):
-        return EqVerdict(EqKind.NOT_EQUAL_SEMANTICS, trace=traces, witness=(f, g))
-    return EqVerdict(EqKind.UNKNOWN, trace=traces, reason=AGREE)
+        return EqVerdict(EqKind.NOT_EQUAL_SEMANTICS, forms, witness=(f, g))
+    return EqVerdict(EqKind.UNKNOWN, forms, reason=AGREE)
 
 
 def assert_same_verdict(ctx, s, t, type_, chip) -> EqVerdict:

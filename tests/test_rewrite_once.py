@@ -1,0 +1,239 @@
+"""``normalize`` and ``eq`` doing each piece of work once.
+
+The reference is the normalizer in ``reference_normalize``, frozen as it
+was before one walk found each step and a sort pass ended normalization.
+On a corpus of generated judgements, unit spines, brickwork circuits and
+``equiv``-shaped pairs, both must take the same steps, list the same rules
+and trace, and run out of budget at the same place.  Counters then show
+that each ``normalize`` call scans once per step, sorts at most once and
+never after the sort, and that an ``eq`` verdict lists no rules until its
+trace is read.  ``freshen_binders`` returns a term that needs no renaming
+itself, and otherwise what the old rebuilding walk returned.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pstt import (
+    CtxEntry,
+    EqKind,
+    EqVerdict,
+    Judgement,
+    LetStar,
+    Unit,
+    Var,
+    check,
+    judgementally_equal,
+    normalize,
+    print_term,
+)
+from pstt import equality
+from pstt.equality import BudgetExceeded, NormalForm, SortPass, _sort_pass
+from pstt.syntax import freshen_binders
+from pstt.testkit import GenConfig, gen_judgement
+
+import reference_normalize as ref
+import test_eq_refutation as refutation
+from brickwork import brickwork_chip, brickwork_judgement
+from test_syntax import names, terms
+
+
+def under_spine(j, units):
+    """``j``'s term under ``let * = u in`` for each unit, the first outermost."""
+    term = j.term
+    for name in reversed(units):
+        term = LetStar(Var(name), term)
+    return term
+
+
+def equiv_pairs(chip, rng, count):
+    """``(ctx, s, t, type)``: a small core under a unit-let spine, reversed against sorted."""
+    cfg = GenConfig(chip=chip, max_depth=5)
+    out = []
+    while len(out) < count:
+        core = gen_judgement(cfg, rng=rng)
+        if print_term(core.term).count("let ") > 3:
+            continue
+        units = [f"u{i:02d}" for i in range(rng.randint(4, 20))]
+        ctx = tuple(CtxEntry(u, rng.randint(-60, 60), Unit()) for u in units) + core.ctx
+        out.append((ctx, under_spine(core, units[::-1]), under_spine(core, units), core.type))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cases(chip0):
+    """``(term, normalize keywords)`` over the corpus, each judgement typed and bare."""
+    out = []
+
+    def judgement(j, chip):
+        check(j, chip)
+        out.append((j.term, dict(context=j.ctx, result_type=j.type, chip=chip)))
+        out.append((j.term, {}))
+
+    for seed in (7, 107):
+        rng = random.Random(seed)
+        for depth in range(4, 11):
+            cfg = GenConfig(chip=chip0, seed=seed, max_depth=depth)
+            for _ in range(5):
+                judgement(gen_judgement(cfg, rng=rng), chip0)
+    rng = random.Random(41)
+    cfg = GenConfig(chip=chip0, seed=41, max_depth=4)
+    for n in (2, 5, 13, 30):
+        j = gen_judgement(cfg, rng=rng)
+        units = [f"s{rng.randrange(10 * n)}_{i}" for i in range(n)]
+        ctx = tuple(CtxEntry(u, rng.randint(-60, 60), Unit()) for u in units) + j.ctx
+        judgement(Judgement(ctx, under_spine(j, rng.sample(units, n)), j.type), chip0)
+    for n in (4, 8):
+        chip = brickwork_chip(n, seed=n)
+        for layers in (2, 5, 16):
+            for reverse in (False, True):
+                judgement(brickwork_judgement(chip, layers, reverse=reverse), chip)
+    for ctx, s, t, ty in equiv_pairs(chip0, random.Random(951), 6):
+        judgement(Judgement(ctx, s, ty), chip0)
+        judgement(Judgement(ctx, t, ty), chip0)
+    return out
+
+
+def shown(nf):
+    """What a normal form records: each step, rules, trace and final term, as text."""
+    steps = tuple(
+        (step.rule if type(step) is not SortPass else step.order, print_term(step.result))
+        for step in nf.steps
+    )
+    trace = tuple((step.rule, print_term(step.result)) for step in nf.trace)
+    return steps, nf.rules, trace, print_term(nf.term)
+
+
+def outcome(run, term, **kw):
+    try:
+        return shown(run(term, **kw))
+    except BudgetExceeded as e:
+        return "budget", e.steps, print_term(e.partial)
+
+
+def test_normalize_matches_the_frozen_reference(cases):
+    sorts = 0
+    for term, kw in cases:
+        want = outcome(ref.normalize, term, **kw)
+        assert outcome(normalize, term, **kw) == want
+        sorts += any(r.startswith("swap-") for r in want[1])
+        for budget in range(4):
+            assert outcome(normalize, term, budget=budget, **kw) == outcome(
+                ref.normalize, term, budget=budget, **kw
+            )
+    assert sorts > 20  # the corpus exercises the sort
+
+
+def test_each_step_takes_one_scan_and_a_sort_ends_normalization(cases, monkeypatch):
+    scans = keys = 0
+    find_rewrite, spine_keys = equality._find_rewrite, equality._spine_keys
+
+    def counted_find_rewrite(*args):
+        nonlocal scans
+        scans += 1
+        return find_rewrite(*args)
+
+    def counted_spine_keys(lets):
+        nonlocal keys
+        keys += 1
+        return spine_keys(lets)
+
+    monkeypatch.setattr(equality, "_find_rewrite", counted_find_rewrite)
+    monkeypatch.setattr(equality, "_spine_keys", counted_spine_keys)
+    ended_by_sort = 0
+    for term, kw in cases:
+        scans = keys = 0
+        steps = normalize(term, **kw).steps
+        sort_at = [i for i, step in enumerate(steps) if type(step) is SortPass]
+        assert sort_at in ([], [len(steps) - 1])
+        assert keys <= 1
+        assert scans == len(steps) + (not sort_at)
+        ended_by_sort += bool(sort_at)
+    assert ended_by_sort > 20
+
+
+def test_the_reference_finds_nothing_after_a_sort(cases):
+    checked = 0
+    for term, kw in cases:
+        nf = normalize(term, **kw)
+        if nf.steps and type(nf.steps[-1]) is SortPass:
+            env, recheck = ref.rule_env(kw.get("context"), kw.get("result_type"), kw.get("chip"))
+            assert ref.find_rewrite(nf.term, env, kw.get("chip"), recheck) is None
+            assert _sort_pass(nf.term) is None
+            checked += 1
+    assert checked > 20
+
+
+# ---------------------------------------------------------- freshen_binders
+
+
+@given(terms(), st.sets(names, max_size=3) | st.none())
+@settings(max_examples=200, deadline=None)
+def test_freshen_binders_returns_its_argument_when_nothing_needs_renaming(t, avoid):
+    fresh = freshen_binders(t, avoid)
+    want = ref.freshen_binders(t, avoid)
+    assert fresh == want
+    assert (fresh is t) == (want == t)
+
+
+# -------------------------------------------------------------- lazy trace
+
+
+def test_a_verdict_without_normal_forms_has_an_empty_trace():
+    assert EqVerdict(EqKind.EQUAL).trace == ((), ())
+
+
+def refutation_cases(chip0):
+    """``(ctx, s, t, type, chip)`` of each case that ``test_eq_refutation`` parametrizes."""
+    tests = {
+        refutation.test_same_verdicts_when_semantics_agree_or_are_unavailable: refutation.TWIN_CHIP,
+        refutation.test_judgementally_equal_never_reaches_the_interpreter: chip0,
+    }
+    for test, chip in tests.items():
+        (mark,) = test.pytestmark
+        for head, s, t, *_ in mark.args[1]:
+            yield (*refutation.equation(head, s, t), chip)
+
+
+def reference_trace(ctx, s, t, type_, chip):
+    kw = dict(context=ctx, result_type=type_, chip=chip)
+    return ref.normalize(s, **kw).rules, ref.normalize(t, **kw).rules
+
+
+def test_the_trace_matches_the_reference_and_is_listed_only_when_read(chip0, corpus, monkeypatch):
+    reads = 0
+    rules = NormalForm.rules
+
+    def counted_rules(self):
+        nonlocal reads
+        reads += 1
+        return rules.func(self)
+
+    monkeypatch.setattr(NormalForm, "rules", property(counted_rules))
+    pairs = [(ctx, s, t, ty, chip0) for ctx, s, t, ty in equiv_pairs(chip0, random.Random(952), 8)]
+    decls = corpus.declarations
+    pairs += [
+        (a.ctx, a.term, b.term, a.type, chip0)
+        for a in decls
+        for b in decls
+        if (a.ctx, a.type) == (b.ctx, b.type)
+    ]
+    rng = random.Random(606)
+    cfg = GenConfig(chip=chip0, seed=606, distinct_qubits=True)
+    while len(pairs) < 160:
+        j = gen_judgement(cfg, rng=rng)
+        swapped = refutation.swap_one_gate(j.term, rng)
+        if swapped is not None:
+            pairs.append((j.ctx, j.term, swapped, j.type, chip0))
+    pairs += list(refutation_cases(chip0))
+    kinds = set()
+    for pair in pairs:
+        reads = 0
+        verdict = judgementally_equal(*pair)
+        assert reads == 0  # building the verdict listed no rules
+        assert verdict.trace == reference_trace(*pair)
+        kinds.add(verdict.kind)
+    assert kinds == set(EqKind)

@@ -36,7 +36,6 @@ from pstt import (
 from pstt import equality
 from pstt.equality import (
     RewriteStep,
-    _find_rewrite,
     _KIND,
     _rename_binders,
     _sorted_spine_order,
@@ -48,6 +47,7 @@ from pstt.syntax import binders, children, free_vars, freshen_binders, rebuild, 
 from pstt.testkit import GenConfig, gen_judgement
 
 from brickwork import brickwork_chip, brickwork_judgement, chain_judgement, cx_chain_term, twin_chains_term
+from reference_normalize import find_rewrite
 
 
 def reference_spine_keys(lets):
@@ -132,7 +132,7 @@ def per_swap_normalize(term, context=None, result_type=None, chip=None):
     t = freshen_binders(term)
     trace = []
     while True:
-        step = _find_rewrite(t, env, chip, recheck) or _reference_swap(t)
+        step = find_rewrite(t, env, chip, recheck) or _reference_swap(t)
         if step is None:
             return t, trace
         trace.append(step)
