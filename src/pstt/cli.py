@@ -257,6 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
         if file_arg:
             p.add_argument("file", help="a .pstt source file")
         p.add_argument("--chip", required=True, help="chip spec JSON file")
+        return p
+
+    with_common(sub.add_parser("check", help="type-check all declarations"))
+    with_common(sub.add_parser("infer", help="infer context and type per declaration"))
+    normalize = with_common(sub.add_parser("normalize", help="print normal forms"))
+    eq = with_common(sub.add_parser("eq", help="decide judgemental equality of two declarations"))
+    eq.add_argument("--name", action="append", default=[], help="declaration (twice)")
+    for p in (normalize, eq):
         p.add_argument(
             "--budget",
             type=_count,
@@ -264,16 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="rewrite budget: one per beta, eta or hoist step and one per sort of a let prefix",
         )
 
-    with_common(sub.add_parser("check", help="type-check all declarations"))
-    with_common(sub.add_parser("infer", help="infer context and type per declaration"))
-    with_common(sub.add_parser("normalize", help="print normal forms"))
-
-    eq = sub.add_parser("eq", help="decide judgemental equality of two declarations")
-    with_common(eq)
-    eq.add_argument("--name", action="append", default=[], help="declaration (twice)")
-
-    emit_p = sub.add_parser("emit", help="emit a schedule JSON for one declaration")
-    with_common(emit_p)
+    emit_p = with_common(sub.add_parser("emit", help="emit a schedule JSON for one declaration"))
     emit_p.add_argument("--name", required=True, help="declaration to emit")
     emit_p.add_argument("-o", "--output", required=True, help="output JSON path")
 

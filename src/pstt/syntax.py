@@ -5,6 +5,11 @@ time-shift modality indexed by an integer grade (nanoseconds).  Contexts
 annotate every variable with a grade.  Everything here is immutable value
 data; binding, capture-avoiding substitution and alpha-equivalence live in
 this module so every other layer can rely on them.
+
+One walk per syntax sort decides equality.  Two types are equal when their
+``_type_tokens`` are, and two terms are alpha-equivalent when their
+``_alpha_pieces`` are, with bound variables as de Bruijn levels;
+``alpha_key`` spells those pieces as a string.
 """
 
 from __future__ import annotations
@@ -27,71 +32,44 @@ class Qubit:
     name: str
 
 
-@dataclass(frozen=True, eq=False)
-class Tensor:
-    left: "TypeExpr"
-    right: "TypeExpr"
+class _Compound:
+    """Equality and hash of a compound type, both through ``_type_tokens``."""
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not Tensor:
+        if type(other) is not type(self):
             return NotImplemented
-        return _types_equal(self, other)
+        return self is other or _type_tokens(self) == _type_tokens(other)
 
     def __hash__(self) -> int:
         return hash(_type_tokens(self))
 
 
 @dataclass(frozen=True, eq=False)
-class Box:
+class Tensor(_Compound):
+    left: "TypeExpr"
+    right: "TypeExpr"
+
+
+@dataclass(frozen=True, eq=False)
+class Box(_Compound):
     """Time-shifted type ``[d] A``: an A displaced d nanoseconds."""
 
     grade: Grade
     body: "TypeExpr"
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Box:
-            return NotImplemented
-        return _types_equal(self, other)
-
-    def __hash__(self) -> int:
-        return hash(_type_tokens(self))
-
 
 TypeExpr = Unit | Qubit | Tensor | Box
 
 
-# Type equality and hashing walk explicit stacks, so a type's depth (a
-# register's width) is not bounded by the recursion limit.
-
-
-def _types_equal(a: TypeExpr, b: TypeExpr) -> bool:
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        cls = type(x)
-        if cls is not type(y):
-            return False
-        if cls is Tensor:
-            stack.append((x.right, y.right))
-            stack.append((x.left, y.left))
-        elif cls is Qubit:
-            if x.name != y.name:
-                return False
-        elif cls is Box:
-            if x.grade != y.grade:
-                return False
-            stack.append((x.body, y.body))
-        elif cls is not Unit and not x == y:
-            return False
-    return True
+# Types are compared and hashed by one walk, ``_type_tokens``, on an explicit
+# stack, so a type's depth (a register's width) has no recursion limit.
 
 
 def _type_tokens(ty: TypeExpr) -> tuple:
     """A type in pre-order, one token per node and one per box grade.
 
-    Every constructor has a fixed arity, so equal types give equal tokens.
+    Every constructor has a fixed arity, so the tokens decode to one type:
+    two types are equal exactly when their tokens are.
     """
     out: list = []
     stack = [ty]
@@ -448,113 +426,94 @@ def substitute(t: TermExpr, x: str, s: TermExpr) -> TermExpr:
     return subst_parallel(t, {x: s})
 
 
-def _open(env: dict[str, int], names: tuple[str, ...], depth: int) -> None:
-    """Bind ``names`` to the binder levels ``depth``, ``depth + 1``, ..."""
-    for i, x in enumerate(names):
-        env[x] = depth + i
+def _alpha_pieces(t: TermExpr) -> list:
+    """``t`` in pre-order: a piece per node head, free variable and bound use.
 
-
-def _close(env: dict[str, int], saved: list[tuple[str, int | None]]) -> None:
-    """Put back the levels ``_open`` shadowed."""
-    for x, old in saved:
-        if old is None:
-            del env[x]
+    A head is the node's class, then its gate name and arity or its grade.
+    A free variable is its ``Var``; a bound one is its binder's de Bruijn
+    level, the number of binders already in scope where that binder binds,
+    a pair's ``x`` before its ``y``.  Each head fixes how many extras and
+    children follow it, so the pieces decode to one term up to the names
+    of its binders.
+    """
+    out: list = []
+    env: dict[str, int | None] = {}  # name -> level of its innermost binder
+    depth = 0
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            level = env.get(node.name)
+            out.append(node if level is None else level)
+        elif cls is tuple:  # a let's body begins: its binders come in scope
+            for x in node:
+                env[x] = depth
+                depth += 1
+        elif cls is dict:  # a let's body ends: put back the levels it shadowed
+            env.update(node)
+            depth -= len(node)
         else:
-            env[x] = old
+            out.append(cls)
+            if cls is GateApp:
+                out += (node.gate, len(node.args))
+            elif cls is BoxIntro or cls is LetBox:
+                out.append(node.grade)
+            names = binders(node)
+            if names:
+                stack += ({x: env.get(x) for x in names}, node.body, names, node.scrutinee)
+            else:
+                stack.extend(reversed(children(node)))
+    return out
 
 
 def alpha_eq(s: TermExpr, t: TermExpr) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-    env_s: dict[str, int] = {}
-    env_t: dict[str, int] = {}
-    depth = 0
-    stack: list = [(s, t)]
-    while stack:
-        a, b = stack.pop()
-        cls = type(a)
-        if cls is str:  # a binder scope opens or closes
-            if a == "open":
-                _open(env_s, b[0], depth)
-                _open(env_t, b[1], depth)
-                depth += len(b[0])
-            else:
-                _close(env_s, b[0])
-                _close(env_t, b[1])
-                depth -= len(b[0])
-            continue
-        if cls is not type(b):
-            return False
-        if cls is Var:
-            da, db = env_s.get(a.name), env_t.get(b.name)
-            if da != db or (da is None and a.name != b.name):
-                return False
-            continue
-        if cls is GateApp:
-            if a.gate != b.gate or len(a.args) != len(b.args):
-                return False
-        elif cls is BoxIntro or cls is LetBox:
-            if a.grade != b.grade:
-                return False
-        names_a = binders(a)
-        if names_a:
-            names_b = binders(b)
-            saved = ([(x, env_s.get(x)) for x in names_a], [(y, env_t.get(y)) for y in names_b])
-            stack += (
-                ("close", saved),
-                (a.body, b.body),
-                ("open", (names_a, names_b)),
-                (a.scrutinee, b.scrutinee),
-            )
-        else:
-            stack.extend(zip(reversed(children(a)), reversed(children(b))))
-    return True
+    """Structural equality up to consistent renaming of bound variables.
+
+    That is equal pieces: they name no binder and decode to one term.
+    """
+    return s is t or _alpha_pieces(s) == _alpha_pieces(t)
 
 
-_KEY_HEAD = {
-    LetStar: lambda t: "(ls ",
-    GateApp: lambda t: f"({t.gate} ",
-    Pair: lambda t: "(p ",
-    LetPair: lambda t: "(lp ",
-    BoxIntro: lambda t: f"(b {t.grade} ",
-    LetBox: lambda t: f"(lb {t.grade} ",
+# A constructor's key word and number of children.  A gate's word is its
+# name, marked with a backtick if it is one of these words.
+_KEY_WORDS = {
+    LetStar: ("ls", 2), Pair: ("p", 2), LetPair: ("lp", 2), BoxIntro: ("b", 1), LetBox: ("lb", 2)
 }
+_MARKED = {word for word, _ in _KEY_WORDS.values()}
 
 
 def alpha_key(t: TermExpr) -> str:
-    """Canonical string key: alpha-equivalent terms get identical keys."""
-    env: dict[str, int] = {}
-    depth = 0
+    """Canonical string key: alpha-equivalent terms, and only they, share one.
+
+    It spells ``_alpha_pieces(t)``: ``*``, a free variable's name, ``!i``
+    for a bound one of level ``i``, and ``(word extras children)`` for a
+    node, one blank between parts.  When no name holds a blank, parenthesis
+    or backtick or starts with ``!``, the key reads back to the pieces, so
+    it is injective up to alpha.  That covers every parsed term: its
+    variables are identifiers, and its gates identifiers or ``g[q,n]``.
+    """
     out: list[str] = []
-    stack: list = [t]
-    while stack:
-        item = stack.pop()
-        cls = type(item)
-        if cls is str:
-            out.append(item)
-        elif cls is Var:
-            i = env.get(item.name)
-            out.append(item.name if i is None else f"!{i}")
-        elif cls is Star:
-            out.append("*")
-        elif cls is tuple:  # ("open", names) or ("close", saved): a binder scope
-            if item[0] == "open":
-                _open(env, item[1], depth)
-                depth += len(item[1])
-            else:
-                _close(env, item[1])
-                depth -= len(item[1])
+    todo: list[int] = []  # parts each open node has still to print: its head, its children
+    pieces = iter(_alpha_pieces(t))
+    for p in pieces:
+        if p is GateApp:
+            word, n = next(pieces), next(pieces)
+            out.append(f"(`{word}" if word in _MARKED else f"({word}")
+            todo.append(1 + n)
+        elif p in _KEY_WORDS:
+            word, n = _KEY_WORDS[p]
+            out.append(f"({word} {next(pieces)}" if p is BoxIntro or p is LetBox else f"({word}")
+            todo.append(1 + n)
         else:
-            out.append(_KEY_HEAD[cls](item))
-            stack.append(")")
-            names = binders(item)
-            if names:
-                saved = [(x, env.get(x)) for x in names]
-                stack += (("close", saved), item.body, ("open", names), " ", item.scrutinee)
-            else:
-                kids = children(item)
-                for i in range(len(kids) - 1, 0, -1):
-                    stack += (kids[i], " ")
-                stack.append(kids[0])
+            out.append("*" if p is Star else f"!{p}" if type(p) is int else p.name)
+        while todo:  # a part is done: a blank before the next one, or close the node
+            todo[-1] -= 1
+            if todo[-1]:
+                out.append(" ")
+                break
+            todo.pop()
+            out.append(")")
     return "".join(out)
 
 

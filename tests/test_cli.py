@@ -327,6 +327,21 @@ def test_budget_default_is_the_library_default(command):
     assert args.budget == DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "f.pstt"),
+        ("infer", "f.pstt"),
+        ("emit", "f.pstt", "--name", "a", "-o", "out.json"),
+        ("selfcheck",),
+    ],
+)
+def test_budget_is_a_usage_error_where_nothing_reads_it(chip0_path, capsys, argv):
+    code, out, _ = invoke(*argv, "--chip", str(chip0_path), "--budget", "5")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
 def test_emit_reports_an_output_it_cannot_write(tmp_path, chip0_path, corpus_path):
     for target in (tmp_path / "missing" / "out.json", tmp_path):
         code, out, err = invoke(
@@ -364,7 +379,6 @@ def test_the_module_runs_as_a_script(tmp_path, chip0_path, corpus_path):
     [
         ("selfcheck", "--cases", "-3"),
         ("selfcheck", "--cases", "two"),
-        ("selfcheck", "--budget", "-1"),
         ("normalize", "f.pstt", "--budget", "-1"),
         ("eq", "f.pstt", "--budget", "-1", "--name", "a", "--name", "b"),
     ],
