@@ -112,14 +112,7 @@ def _cmd_normalize(args, out) -> int:
     failures = 0
     for decl in source.declarations:
         try:
-            check(decl.judgement, chip)
-            nf = normalize(
-                decl.term,
-                context=decl.ctx,
-                result_type=decl.type,
-                chip=chip,
-                budget=args.budget,
-            )
+            nf = normalize(decl.judgement, chip, budget=args.budget)
             print(f"{decl.name}: {print_term(nf.term)}", file=out)
         except TypingError as exc:
             failures += 1
@@ -219,7 +212,7 @@ def _cmd_selfcheck(args, out) -> int:
         if names != occurrences:
             linear_bad += 1
             continue
-        nf = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip)
+        nf = normalize(j, chip)
         for step in nf.trace:
             try:
                 check(type(j)(j.ctx, step.result, j.type), chip)

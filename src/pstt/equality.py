@@ -14,9 +14,10 @@ unit-typed variables.  Contraction is grade-sensitive (the let's context
 shift must re-solve to zero) and chooses among several unit positions,
 which destroys confluence; expansion is valid at every variable occurrence
 (the variable axiom pins the grade to 0) and parks all unit material in
-scrutinee position, where sorting canonicalizes it.  Typing the variables
-requires the judgement's context, so bare-term normalization skips the
-expansion and canonicalizes less.
+scrutinee position, where sorting canonicalizes it.  The variables' types
+come from the checker's derivation of the judgement being normalized, read
+once before the first step; a bare term has none, so its normalization
+skips the expansion and canonicalizes less.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from . import schedule, typecheck
 from .chip import ChipSpec
 from .surface import print_term
 from .syntax import (
-    Box,
     BoxIntro,
     Context,
     GateApp,
@@ -42,7 +42,6 @@ from .syntax import (
     Pair,
     Place,
     Star,
-    Tensor,
     TermExpr,
     TypeExpr,
     Unit,
@@ -59,7 +58,7 @@ from .syntax import (
     subst_parallel,
     substitute,
 )
-from .typecheck import TypingError, synthesize
+from .typecheck import TypingError
 
 DEFAULT_BUDGET = 10_000
 
@@ -169,7 +168,13 @@ def _eta(t: TermExpr) -> tuple[str, TermExpr] | None:
 
 
 def _lift(inner: TermExpr, avoid: set[str], outer: TermExpr, i: int, pos: str) -> tuple[str, TermExpr]:
-    """Hoist the let ``inner``, child ``i`` of ``outer``, above ``outer``."""
+    """Hoist the let ``inner``, child ``i`` of ``outer``, above ``outer``.
+
+    On the freshened terms ``normalize`` rewrites, ``avoid`` never meets
+    ``inner``'s binders, so no hoist renames one.  ``normalize`` relies on
+    this: it marks unit-typed variables by name once, before the first step,
+    and a renamed unit binder would lose its mark.
+    """
     inner = _rename_binders(inner, avoid)
     s, b = children(inner)
     kids = list(children(outer))
@@ -422,72 +427,47 @@ def _eta_spine(
     return None
 
 
-# -------------------------------------------------- unit-variable expansion
-
-
-def _expand_unit_var(
-    t: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec
-) -> TermExpr | None:
-    """Expand the leftmost unit-typed variable not already a let-* scrutinee.
-
-    The variable axiom types every variable at grade 0 in its own node, so
-    this instance of the unit eta rule is valid in any enclosing judgement.
-    A let's binders take their types from the checker's synthesis of the
-    scrutinee, once the scrutinee holds no candidate.
-    """
-    # Entries are (subterm, env, place, False), or (let, env, place, True)
-    # for a let whose body waits for the types of the let's binders.
-    stack: list[tuple[TermExpr, dict[str, TypeExpr], Place | None, bool]] = [(t, env, None, False)]
-    while stack:
-        node, env, up, is_body = stack.pop()
-        if is_body:  # node is the let; bind its binders, then visit its body
-            try:
-                sty = synthesize(node.scrutinee, env, chip).result_type
-            except TypingError:
-                sty = None
-            if type(node) is LetPair and isinstance(sty, Tensor):
-                env = {**env, node.x: sty.left, node.y: sty.right}
-            elif type(node) is LetBox and isinstance(sty, Box):
-                env = {**env, node.x: sty.body}
-            stack.append((node.body, env, (node, 1, up), False))
-            continue
-        cls = type(node)
-        if cls is Var:
-            if env.get(node.name) == Unit():
-                return plug(LetStar(node, Star()), up)
-            continue
-        kids = children(node)
-        last = len(kids) - 1
-        if binders(node):
-            stack.append((node, env, up, True))
-            last -= 1
-        for i in range(last, -1, -1):
-            # A variable directly in scrutinee position is already parked.
-            if i == 0 and cls is LetStar and type(kids[0]) is Var:
-                continue
-            stack.append((kids[i], env, (node, i, up), False))
-    return None
-
-
 # ------------------------------------------------------------- normalize
 
 
+def _unit_vars(d: typecheck.Derivation, t: TermExpr) -> set[str]:
+    """The names of ``t``'s unit-typed variables, read off ``d``.
+
+    ``t`` is ``d``'s term with its binders renamed (``freshen_binders``).
+    A derivation's premises follow the term's children, so each variable
+    of ``t`` meets the var node that types it, renamed binders too.
+    """
+    units: set[str] = set()
+    stack = [(d, t)]
+    while stack:
+        d, t = stack.pop()
+        if d.rule == "var":
+            if type(d.type) is Unit:
+                units.add(t.name)
+        else:
+            stack.extend(zip(d.premises, children(t)))
+    return units
+
+
 def _find_rewrite(
-    t: TermExpr,
-    env: dict[str, TypeExpr] | None,
-    chip: ChipSpec | None,
-    recheck: Callable[[TermExpr], bool] | None,
+    t: TermExpr, units: set[str], recheck: Callable[[TermExpr], bool] | None
 ) -> RewriteStep | None:
     """The next rewrite: the outermost-leftmost hit of the first rule family that has one.
 
     One pre-order walk returns at the first beta redex and notes on its way
-    the first eta redex and the first hoist site, for use when it finds no
-    beta redex; only the chosen hoist renames binders.
+    the first eta redex, the first variable named in ``units`` that is not
+    already a let-* scrutinee, and the first hoist site, for use when it
+    finds no beta redex; only the chosen hoist renames binders.
     """
-    eta = site = None
+    eta = unit = site = None
     stack: list[tuple[TermExpr, Place | None]] = [(t, None)]
     while stack:
         node, up = stack.pop()
+        if type(node) is Var:
+            parked = up is not None and up[1] == 0 and type(up[0]) is LetStar  # let * = z in ...
+            if unit is None and node.name in units and not parked:
+                unit = node, up
+            continue
         kids = children(node)
         if type(node) in _KIND:
             hit = _beta(node)
@@ -507,10 +487,9 @@ def _find_rewrite(
     hit = _eta_spine(t, recheck)
     if hit is not None:
         return RewriteStep(*hit)
-    if env is not None and chip is not None:
-        expanded = _expand_unit_var(t, env, chip)
-        if expanded is not None:
-            return RewriteStep("eta-unit", expanded)
+    if unit is not None:
+        var, up = unit
+        return RewriteStep("eta-unit", plug(LetStar(var, Star()), up))
     if site is not None:
         node, up = site
         rule, new = _hoist(node)
@@ -519,42 +498,48 @@ def _find_rewrite(
 
 
 def normalize(
-    term: TermExpr,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    context: Context | None = None,
-    result_type: TypeExpr | None = None,
-    chip: ChipSpec | None = None,
+    subject: Judgement | TermExpr, chip: ChipSpec | None = None, *, budget: int = DEFAULT_BUDGET
 ) -> NormalForm:
     """Rewrite to the canonical form; raises BudgetExceeded if it runs long.
 
+    ``subject`` is a judgement, checked on ``chip`` (raising TypingError if
+    it does not check), or a bare term.  The grade-aware rules,
+    unit-variable expansion and parked eta contraction, need a judgement:
+    the unit-typed variables are read off the checker's derivation, which
+    ``check`` keeps on the judgement, and a parked contraction is kept only
+    if the contracted judgement checks.  A bare term gets neither rule, so
+    fewer equalities are recognized.
+
     ``budget`` bounds the rewrites: one beta, eta or hoist step spends one,
     and so does one pass that sorts the let prefix, however many lets it
-    moves.  Pass the judgement's context, result type and chip to enable
-    the grade-aware rules (unit-variable expansion and parked eta
-    contraction); without them those rules stay off and fewer equalities
-    are recognized.
+    moves.
 
     A sort pass is the last step.  It runs only when no other rule applies
     and only permutes independent lets: scrutinees, the core and each let's
     dependants below it stay as they were, binders are fresh, and keys are
     alpha-stable with ties kept in order, so nothing applies after it.
     """
-    env = {e.name: e.type for e in context} if context is not None else None
-    recheck = None
-    if context is not None and result_type is not None and chip is not None:
+    if isinstance(subject, Judgement):
+        if chip is None:
+            raise TypeError("normalizing a judgement needs the chip it checks on")
+        derivation = typecheck.check(subject, chip)
+        t = freshen_binders(subject.term)
+        # Binders stay fresh and no rule renames one, so each name keeps its type.
+        units = _unit_vars(derivation, t)
+
         def recheck(t2: TermExpr) -> bool:
             try:
-                typecheck.check(Judgement(context, t2, result_type), chip)
+                typecheck.check(Judgement(subject.ctx, t2, subject.type), chip)
                 return True
             except TypingError:
                 return False
+    else:
+        t, units, recheck = freshen_binders(subject), set(), None
 
-    t = freshen_binders(term)
     steps: list[RewriteStep | SortPass] = []
     while True:
         # The let prefix is sorted only when no other rule applies.
-        found = _find_rewrite(t, env, chip, recheck) or _sort_pass(t)
+        found = _find_rewrite(t, units, recheck) or _sort_pass(t)
         if found is None:
             return NormalForm(t, tuple(steps))
         if len(steps) >= budget:
@@ -613,8 +598,10 @@ def judgementally_equal(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> EqVerdict:
-    """Decide ``ctx |- s = t : type``; both sides must already check.
+    """Decide ``ctx |- s = t : type``.
 
+    Both sides are checked first, and a side that does not check raises
+    TypingError.  Their derivations then serve ``normalize`` and ``emit``.
     Alpha-equal normal forms answer EQUAL.  Otherwise both sides are
     emitted: they share the context and the type, hence every channel's
     interval, so different channels refute the equation.  A side with no
@@ -625,8 +612,8 @@ def judgementally_equal(
     typecheck.check(jt, chip)
 
     try:
-        nf_s = normalize(s, budget=budget, context=ctx, result_type=type_, chip=chip)
-        nf_t = normalize(t, budget=budget, context=ctx, result_type=type_, chip=chip)
+        nf_s = normalize(js, chip, budget=budget)
+        nf_t = normalize(jt, chip, budget=budget)
     except BudgetExceeded:
         return EqVerdict(EqKind.UNKNOWN, reason="budget exhausted")
 

@@ -7,7 +7,12 @@ Kept as the reference for ``pstt.equality.normalize``:
   and unit-expansion rules, once more for a hoist site;
 * ``normalize`` looks for another step after a sort pass, a whole-term
   scan and a second sort that confirm the term is normal;
-* ``freshen_binders`` rebuilds every node, also when it renames nothing.
+* ``freshen_binders`` rebuilds every node, also when it renames nothing;
+* ``expand_unit_var`` types the variables as it goes: it synthesises the
+  type of every let scrutinee it passes, on every step that reaches it.
+
+``normalize`` keeps its old keywords: the judgement's context, result type
+and chip, which turn on unit-variable expansion and parked eta.
 
 The single-node rules and the sort pass are the package's own.
 """
@@ -20,7 +25,6 @@ from pstt.equality import (
     _beta,
     _eta,
     _eta_spine,
-    _expand_unit_var,
     _hoist,
     _sort_pass,
 )
@@ -29,7 +33,14 @@ from pstt.syntax import (
     _BUILD,
     _CHILDREN,
     _VISIT,
+    Box,
     Judgement,
+    LetBox,
+    LetPair,
+    LetStar,
+    Star,
+    Tensor,
+    Unit,
     Var,
     _build,
     binders,
@@ -39,7 +50,7 @@ from pstt.syntax import (
     plug,
     subst_parallel,
 )
-from pstt.typecheck import TypingError
+from pstt.typecheck import TypingError, synthesize
 
 
 def positions(t):
@@ -56,6 +67,48 @@ def positions(t):
     return out
 
 
+def expand_unit_var(t, env, chip):
+    """Expand the leftmost unit-typed variable not already a let-* scrutinee.
+
+    The variable axiom types every variable at grade 0 in its own node, so
+    this instance of the unit eta rule is valid in any enclosing judgement.
+    A let's binders take their types from the checker's synthesis of the
+    scrutinee, once the scrutinee holds no candidate.
+    """
+    # Entries are (subterm, env, place, False), or (let, env, place, True)
+    # for a let whose body waits for the types of the let's binders.
+    stack = [(t, env, None, False)]
+    while stack:
+        node, env, up, is_body = stack.pop()
+        if is_body:  # node is the let; bind its binders, then visit its body
+            try:
+                sty = synthesize(node.scrutinee, env, chip).result_type
+            except TypingError:
+                sty = None
+            if type(node) is LetPair and isinstance(sty, Tensor):
+                env = {**env, node.x: sty.left, node.y: sty.right}
+            elif type(node) is LetBox and isinstance(sty, Box):
+                env = {**env, node.x: sty.body}
+            stack.append((node.body, env, (node, 1, up), False))
+            continue
+        cls = type(node)
+        if cls is Var:
+            if env.get(node.name) == Unit():
+                return plug(LetStar(node, Star()), up)
+            continue
+        kids = children(node)
+        last = len(kids) - 1
+        if binders(node):
+            stack.append((node, env, up, True))
+            last -= 1
+        for i in range(last, -1, -1):
+            # A variable directly in scrutinee position is already parked.
+            if i == 0 and cls is LetStar and type(kids[0]) is Var:
+                continue
+            stack.append((kids[i], env, (node, i, up), False))
+    return None
+
+
 def find_rewrite(t, env, chip, recheck):
     """The next rewrite: the outermost-leftmost hit of the first rule family that has one."""
     spots = positions(t)
@@ -68,7 +121,7 @@ def find_rewrite(t, env, chip, recheck):
     if hit is not None:
         return RewriteStep(*hit)
     if env is not None and chip is not None:
-        expanded = _expand_unit_var(t, env, chip)
+        expanded = expand_unit_var(t, env, chip)
         if expanded is not None:
             return RewriteStep("eta-unit", expanded)
     for node, up in spots:

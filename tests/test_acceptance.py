@@ -99,7 +99,7 @@ def test_c03_typing_preservation(chip0):
     steps = failures = 0
     for _ in range(300):
         j = gen_judgement(cfg, rng=rng)
-        nf = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+        nf = normalize(j, chip0)
         for step in nf.trace:
             steps += 1
             try:
@@ -260,7 +260,7 @@ def test_c08_equality_engine_vs_oracle(chip0):
         nf_of = {}
         nf_terms = {}
         for t, rep in members:
-            nf = normalize(t, context=ctx, result_type=ty, chip=chip0, budget=3000)
+            nf = normalize(Judgement(ctx, t, ty), chip0, budget=3000)
             k = alpha_key(nf.term)
             nf_of[alpha_key(t)] = k
             nf_terms.setdefault(k, nf.term)

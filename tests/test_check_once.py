@@ -1,7 +1,10 @@
 """A judgement is decided once per chip: ``check`` keeps its evidence.
 
 ``emit`` calls ``check`` itself, so the compile path ``check`` → ``emit``
-→ ``validate`` → ``to_json`` synthesises one derivation, not two.  The
+→ ``validate`` → ``to_json`` synthesises one derivation, not two.  So do
+``normalize`` and ``judgementally_equal``: ``eq`` synthesises each side
+once, and ``normalize`` reads its unit-typed variables off the kept
+derivation, synthesising only to recheck a parked eta contraction.  The
 evidence is kept on the ``Judgement`` object for the ``ChipSpec`` object it
 was checked against, and dies with the judgement.  A judgement that
 ``infer`` returns keeps the derivation it was inferred with in the same
@@ -22,7 +25,10 @@ from pstt import (
     TypingError,
     check,
     emit,
+    equality,
     infer,
+    judgementally_equal,
+    normalize,
     parse,
     parse_chip_spec,
     to_json,
@@ -30,6 +36,7 @@ from pstt import (
     validate,
 )
 from pstt.testkit import GenConfig, gen_judgement
+from test_rewrite_once import equiv_pairs
 from test_strict_fast_path import layer_chip, layer_judgement
 from test_traversal import chain_source
 
@@ -239,3 +246,65 @@ def test_inferred_evidence_is_kept_for_that_chip_only(chip0, chip0_path, corpus,
         assert e is not d and same_tree(d, e)
         assert check(j, other) is e
         assert len(synth_calls) - before == 1
+
+
+# ------------------------------------------------------- eq and normalize
+
+# Pairs of declarations ``eq`` compares: a parked repack that contracts
+# after a recheck, and unit placements that expand unit variables.
+UNIT_PAIRS = """\
+schedule parked (p:^0 1 * q1) : 1 * q1 = let (a, b) = p in let * = a in (*, b)
+schedule packed (p:^0 1 * q1) : 1 * q1 = p
+schedule swapped (p:^0 1 * 1) : 1 * 1 = let (a, b) = p in (b, a)
+schedule kept (p:^0 1 * 1) : 1 * 1 = p
+schedule left (c:^0 1) : 1 * 1 = (c, *)
+schedule right (c:^0 1) : 1 * 1 = (*, c)
+"""
+
+
+@pytest.fixture
+def rechecks(monkeypatch):
+    """The number of parked eta contractions ``normalize`` has rechecked so far."""
+    calls = []
+    eta_spine = equality._eta_spine
+
+    def counting(t, recheck):
+        def counted(t2):
+            calls.append(None)
+            return recheck(t2)
+
+        return eta_spine(t, None if recheck is None else counted)
+
+    monkeypatch.setattr(equality, "_eta_spine", counting)
+    return calls
+
+
+def test_equality_no_longer_synthesises_types_itself():
+    assert not hasattr(equality, "synthesize")
+    assert not hasattr(equality, "_expand_unit_var")
+
+
+def test_eq_synthesises_each_side_once(chip0, synth_calls, rechecks):
+    decls = parse(UNIT_PAIRS).declarations
+    pairs = [(a.ctx, a.term, b.term, a.type) for a, b in zip(decls[::2], decls[1::2])]
+    pairs += equiv_pairs(chip0, random.Random(953), 12)
+    for ctx, s, t, ty in pairs:
+        synth_before, rechecks_before = len(synth_calls), len(rechecks)
+        assert judgementally_equal(ctx, s, t, ty, chip0).is_equal
+        assert len(synth_calls) - synth_before == 2 + len(rechecks) - rechecks_before
+    assert rechecks
+
+
+def test_normalize_of_a_checked_judgement_synthesises_only_to_recheck(chip0, synth_calls, rechecks):
+    judgements = [decl.judgement for decl in parse(UNIT_PAIRS).declarations]
+    rng = random.Random(5)
+    cfg = GenConfig(chip=chip0, seed=5)
+    judgements += [gen_judgement(cfg, rng=rng) for _ in range(40)]
+    expanded = 0
+    for j in judgements:
+        check(j, chip0)
+        synth_before, rechecks_before = len(synth_calls), len(rechecks)
+        nf = normalize(j, chip0)
+        assert len(synth_calls) - synth_before == len(rechecks) - rechecks_before
+        expanded += "eta-unit" in nf.rules
+    assert expanded > 5 and rechecks

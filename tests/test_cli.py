@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import pstt.cli
-from pstt import from_json, parse, validate
+import reference_normalize
+from pstt import from_json, parse, print_term, validate
 from pstt.cli import run
 from pstt.equality import DEFAULT_BUDGET
 
@@ -103,6 +104,29 @@ def test_normalize_output(tmp_path, chip0_path):
     code, out, _ = invoke("normalize", str(src), "--chip", str(chip0_path))
     assert code == 0
     assert out.strip() == "r: H1(x)"
+
+
+# Declarations that rewrite, after the fixture corpus, which is normal already.
+REWRITING = """\
+schedule beta_box (x:^-20 q1) : q1 = let box[30] b = box[30] H1(x) in b
+schedule unit_left (c:^0 1) : 1 * 1 = (c, *)
+schedule parked (p:^0 1 * q1) : 1 * q1 = let (a, b) = p in let * = a in (*, b)
+schedule shadowing (x:^0 1, p:^0 1 * 1) : 1 * 1 = let * = x in let (x, y) = p in (y, x)
+"""
+
+
+def test_normalize_prints_the_reference_normal_forms(tmp_path, chip0, chip0_path, corpus_path):
+    src = tmp_path / "s.pstt"
+    src.write_text(corpus_path.read_text() + REWRITING)
+    code, out, err = invoke("normalize", str(src), "--chip", str(chip0_path))
+    assert (code, err) == (0, "")
+    want, rewritten = [], 0
+    for decl in parse(src.read_text()).declarations:
+        nf = reference_normalize.normalize(decl.term, context=decl.ctx, result_type=decl.type, chip=chip0)
+        want.append(f"{decl.name}: {print_term(nf.term)}")
+        rewritten += bool(nf.rules)
+    assert out.splitlines() == want
+    assert rewritten == 4
 
 
 def test_eq_subcommand(tmp_path, chip0_path):

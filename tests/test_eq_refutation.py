@@ -43,11 +43,12 @@ AGREE = "normal forms differ, semantics agree"
 
 def reference_eq(ctx, s, t, type_, chip, *, budget=DEFAULT_BUDGET) -> EqVerdict:
     """``judgementally_equal`` refuting through ``interpret`` + ``mor_eq``."""
-    ev_s = check(Judgement(ctx, s, type_), chip)
-    ev_t = check(Judgement(ctx, t, type_), chip)
+    js, jt = Judgement(ctx, s, type_), Judgement(ctx, t, type_)
+    ev_s = check(js, chip)
+    ev_t = check(jt, chip)
     try:
-        nf_s = normalize(s, budget=budget, context=ctx, result_type=type_, chip=chip)
-        nf_t = normalize(t, budget=budget, context=ctx, result_type=type_, chip=chip)
+        nf_s = normalize(js, chip, budget=budget)
+        nf_t = normalize(jt, chip, budget=budget)
     except BudgetExceeded:
         return EqVerdict(EqKind.UNKNOWN, reason="budget exhausted")
     forms = (nf_s, nf_t)
@@ -55,8 +56,8 @@ def reference_eq(ctx, s, t, type_, chip, *, budget=DEFAULT_BUDGET) -> EqVerdict:
         return EqVerdict(EqKind.EQUAL, forms)
     model = PulseModel(chip)
     try:
-        f = interpret(Judgement(ctx, s, type_), ev_s, model)
-        g = interpret(Judgement(ctx, t, type_), ev_t, model)
+        f = interpret(js, ev_s, model)
+        g = interpret(jt, ev_t, model)
     except MissingCalibration:
         return EqVerdict(EqKind.UNKNOWN, forms, reason="semantics unavailable")
     if not model.mor_eq(f, g):
@@ -127,8 +128,8 @@ def test_same_verdicts_on_enumerated_pairs_with_different_normal_forms(chip0):
         (offsets, _), members = rng.choice(groups)
         (s, ty), (t, _) = rng.sample(members, 2)
         ctx = tuple(CtxEntry(v, g, sig[v]) for v, g in offsets)
-        nf_s = normalize(s, context=ctx, result_type=ty, chip=chip0)
-        nf_t = normalize(t, context=ctx, result_type=ty, chip=chip0)
+        nf_s = normalize(Judgement(ctx, s, ty), chip0)
+        nf_t = normalize(Judgement(ctx, t, ty), chip0)
         if alpha_eq(nf_s.term, nf_t.term):
             continue
         compared += 1

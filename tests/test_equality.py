@@ -66,8 +66,8 @@ def test_normalize_idempotent(chip0):
     cfg = GenConfig(chip=chip0, seed=3)
     for _ in range(60):
         j = gen_judgement(cfg, rng=rng)
-        once = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
-        twice = normalize(once.term, context=j.ctx, result_type=j.type, chip=chip0)
+        once = normalize(j, chip0)
+        twice = normalize(Judgement(j.ctx, once.term, j.type), chip0)
         assert alpha_eq(once.term, twice.term)
         assert not twice.trace
 
@@ -77,7 +77,7 @@ def test_every_step_preserves_typing(chip0):
     cfg = GenConfig(chip=chip0, seed=5)
     for _ in range(60):
         j = gen_judgement(cfg, rng=rng)
-        result = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+        result = normalize(j, chip0)
         for step in result.trace:
             check(Judgement(j.ctx, step.result, j.type), chip0)
 
@@ -88,7 +88,7 @@ def test_trace_rules_are_known(chip0):
     seen = set()
     for _ in range(80):
         j = gen_judgement(cfg, rng=rng)
-        result = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+        result = normalize(j, chip0)
         seen.update(result.rules)
     assert seen <= set(ALL_RULES)
     assert seen  # the corpus is not trivial
@@ -132,7 +132,7 @@ def test_unit_eta_blocked_at_nonzero_grade(chip0):
     # At grade 5 the contraction target `x` does not even check, so the
     # normal form must keep the let.
     ctx = make_context([("x", 5, Unit())])
-    out = normalize(parse_term("let * = x in *"), context=ctx, result_type=Unit(), chip=chip0)
+    out = normalize(Judgement(ctx, parse_term("let * = x in *"), Unit()), chip0)
     assert print_term(out.term) == "let * = x in *"
 
 
@@ -170,9 +170,7 @@ def test_delay_is_not_erasable(chip0):
         Unit(),
     )
     check(j, chip0)
-    out = normalize(
-        parse_term("let * = u in *"), context=j.ctx, result_type=Unit(), chip=chip0
-    )
+    out = normalize(j, chip0)
     assert print_term(out.term) != "*"
 
 
@@ -216,7 +214,6 @@ def test_reversed_160_let_spine_sorts_within_budget(chip0):
     reversed_, sorted_ = spine(names[::-1]), spine(names)
     v = judgementally_equal(ctx, reversed_, sorted_, Qubit("q1"), chip0)
     assert v.kind is EqKind.EQUAL
-    kw = dict(context=ctx, result_type=Qubit("q1"), chip=chip0)
-    nf = normalize(reversed_, **kw)
-    assert alpha_eq(nf.term, normalize(sorted_, **kw).term)
+    nf = normalize(Judgement(ctx, reversed_, Qubit("q1")), chip0)
+    assert alpha_eq(nf.term, normalize(Judgement(ctx, sorted_, Qubit("q1")), chip0).term)
     assert len(nf.rules) == 160 * 159 // 2 == 12_720

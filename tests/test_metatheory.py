@@ -57,8 +57,8 @@ def test_functionality_one_step_rewrites(chip0):
         )
         a = substitute(outer.term, entry.name, inner.term)
         b = substitute(outer.term, entry.name, inner2)
-        nf_a = normalize(a, context=ctx, result_type=outer.type, chip=chip0)
-        nf_b = normalize(b, context=ctx, result_type=outer.type, chip=chip0)
+        nf_a = normalize(Judgement(ctx, a, outer.type), chip0)
+        nf_b = normalize(Judgement(ctx, b, outer.type), chip0)
         assert alpha_eq(nf_a.term, nf_b.term), (a, b)
         done += 1
 

@@ -28,6 +28,7 @@ from pstt import (
     check,
     judgementally_equal,
     normalize,
+    parse,
     print_term,
 )
 from pstt import equality
@@ -39,6 +40,11 @@ import reference_normalize as ref
 import test_eq_refutation as refutation
 from brickwork import brickwork_chip, brickwork_judgement
 from test_syntax import names, terms
+
+
+# ``freshen_binders`` renames the unit-typed binder ``x``, which shadows the
+# context's ``x``; the renamed binder must still expand.
+SHADOWING = "schedule s (x:^0 1, p:^0 1 * 1) : 1 * 1 = let * = x in let (x, y) = p in (y, x)\n"
 
 
 def under_spine(j, units):
@@ -65,13 +71,13 @@ def equiv_pairs(chip, rng, count):
 
 @pytest.fixture(scope="module")
 def cases(chip0):
-    """``(term, normalize keywords)`` over the corpus, each judgement typed and bare."""
+    """``(subject, chip)`` over the corpus: each judgement checked on its chip, and its bare term."""
     out = []
 
     def judgement(j, chip):
         check(j, chip)
-        out.append((j.term, dict(context=j.ctx, result_type=j.type, chip=chip)))
-        out.append((j.term, {}))
+        out.append((j, chip))
+        out.append((j.term, None))
 
     for seed in (7, 107):
         rng = random.Random(seed)
@@ -94,6 +100,7 @@ def cases(chip0):
     for ctx, s, t, ty in equiv_pairs(chip0, random.Random(951), 6):
         judgement(Judgement(ctx, s, ty), chip0)
         judgement(Judgement(ctx, t, ty), chip0)
+    judgement(parse(SHADOWING).declarations[0].judgement, chip0)
     return out
 
 
@@ -107,23 +114,35 @@ def shown(nf):
     return steps, nf.rules, trace, print_term(nf.term)
 
 
-def outcome(run, term, **kw):
+def reference_call(subject, chip):
+    """The reference's arguments for a case: the term and, for a judgement, its keywords."""
+    if isinstance(subject, Judgement):
+        return subject.term, dict(context=subject.ctx, result_type=subject.type, chip=chip)
+    return subject, {}
+
+
+def outcome(run, *args, **kw):
     try:
-        return shown(run(term, **kw))
+        return shown(run(*args, **kw))
     except BudgetExceeded as e:
         return "budget", e.steps, print_term(e.partial)
 
 
+def live_and_reference(subject, chip, **budget):
+    """The outcomes of ``normalize`` and of the frozen reference on one case."""
+    term, kw = reference_call(subject, chip)
+    return outcome(normalize, subject, chip, **budget), outcome(ref.normalize, term, **kw, **budget)
+
+
 def test_normalize_matches_the_frozen_reference(cases):
     sorts = 0
-    for term, kw in cases:
-        want = outcome(ref.normalize, term, **kw)
-        assert outcome(normalize, term, **kw) == want
+    for case in cases:
+        got, want = live_and_reference(*case)
+        assert got == want
         sorts += any(r.startswith("swap-") for r in want[1])
         for budget in range(4):
-            assert outcome(normalize, term, budget=budget, **kw) == outcome(
-                ref.normalize, term, budget=budget, **kw
-            )
+            got, want = live_and_reference(*case, budget=budget)
+            assert got == want
     assert sorts > 20  # the corpus exercises the sort
 
 
@@ -144,9 +163,9 @@ def test_each_step_takes_one_scan_and_a_sort_ends_normalization(cases, monkeypat
     monkeypatch.setattr(equality, "_find_rewrite", counted_find_rewrite)
     monkeypatch.setattr(equality, "_spine_keys", counted_spine_keys)
     ended_by_sort = 0
-    for term, kw in cases:
+    for case in cases:
         scans = keys = 0
-        steps = normalize(term, **kw).steps
+        steps = normalize(*case).steps
         sort_at = [i for i, step in enumerate(steps) if type(step) is SortPass]
         assert sort_at in ([], [len(steps) - 1])
         assert keys <= 1
@@ -155,11 +174,42 @@ def test_each_step_takes_one_scan_and_a_sort_ends_normalization(cases, monkeypat
     assert ended_by_sort > 20
 
 
+def test_a_renamed_unit_binder_still_expands(chip0):
+    j = parse(SHADOWING).declarations[0].judgement
+    assert freshen_binders(j.term) != j.term
+    nf = normalize(j, chip0)
+    assert print_term(nf.term) == "let * = x in p"
+    assert nf.rules == (
+        "eta-unit",
+        "eta-unit",
+        "hoist-unit-from-pair-left",
+        "hoist-unit-from-pair-right",
+        "eta-pair",
+    )
+
+
+def test_no_hoist_renames_a_binder(cases, monkeypatch):
+    # ``normalize`` marks unit-typed variables by name before the first
+    # step, so a hoist that renamed a binder would drop its mark.
+    def no_renaming(name, taken):
+        raise AssertionError(f"a hoist renamed {name!r}")
+
+    monkeypatch.setattr(equality, "fresh_name", no_renaming)
+    pair_let = parse(SHADOWING).declarations[0].term.body  # let (x, y) = p in (y, x)
+    with pytest.raises(AssertionError, match="renamed 'x'"):  # the patch reaches the renaming
+        equality._rename_binders(pair_let, {"x"})
+    hoists = 0
+    for case in cases:
+        hoists += sum(r.startswith("hoist-") for r in normalize(*case).rules)
+    assert hoists > 100
+
+
 def test_the_reference_finds_nothing_after_a_sort(cases):
     checked = 0
-    for term, kw in cases:
-        nf = normalize(term, **kw)
+    for case in cases:
+        nf = normalize(*case)
         if nf.steps and type(nf.steps[-1]) is SortPass:
+            _, kw = reference_call(*case)
             env, recheck = ref.rule_env(kw.get("context"), kw.get("result_type"), kw.get("chip"))
             assert ref.find_rewrite(nf.term, env, kw.get("chip"), recheck) is None
             assert _sort_pass(nf.term) is None

@@ -139,9 +139,13 @@ def per_swap_normalize(term, context=None, result_type=None, chip=None):
         t = step.result
 
 
-def assert_same(term, **kw):
-    want_term, want_trace = per_swap_normalize(term, **kw)
-    nf = normalize(term, **kw)
+def assert_same(subject, chip=None):
+    """``normalize(subject, chip)`` against the per-swap engine, given the judgement's parts."""
+    if isinstance(subject, Judgement):
+        want_term, want_trace = per_swap_normalize(subject.term, subject.ctx, subject.type, chip)
+    else:
+        want_term, want_trace = per_swap_normalize(subject)
+    nf = normalize(subject, chip)
     assert print_term(nf.term) == print_term(want_term)
     assert nf.rules == tuple(step.rule for step in want_trace)
     assert [print_term(s.result) for s in nf.trace] == [print_term(s.result) for s in want_trace]
@@ -156,7 +160,7 @@ def test_gen_judgements_match_the_per_swap_engine(chip0):
             cfg = GenConfig(chip=chip0, seed=seed, max_depth=depth)
             for _ in range(12):
                 j = gen_judgement(cfg, rng=rng)
-                nf = assert_same(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+                nf = assert_same(j, chip0)
                 assert_same(j.term)
                 sorted_somewhere += any(r.startswith("swap-") for r in nf.rules)
     assert sorted_somewhere  # the corpus exercises the sort
@@ -175,8 +179,9 @@ def test_unit_spines_match_the_per_swap_engine(chip0):
             for name in rng.sample(names, n):
                 term = LetStar(Var(name), term)
             ctx = tuple(units) + j.ctx
-            check(Judgement(ctx, term, j.type), chip0)
-            nf = assert_same(term, context=ctx, result_type=j.type, chip=chip0)
+            unit_spine = Judgement(ctx, term, j.type)
+            check(unit_spine, chip0)
+            nf = assert_same(unit_spine, chip0)
             moved += sum(r == "swap-unit-unit" for r in nf.rules)
     assert moved
 
@@ -224,8 +229,7 @@ def test_brickwork_spines_sort_as_with_flat_keys(sorted_spines):
         for layers in (2, 5, 9, 16):
             forward = brickwork_judgement(chip, layers)
             reverse = brickwork_judgement(chip, layers, reverse=True)
-            kw = dict(context=forward.ctx, result_type=forward.type, chip=chip)
-            assert print_term(normalize(forward.term, **kw).term) == print_term(normalize(reverse.term, **kw).term)
+            assert print_term(normalize(forward, chip).term) == print_term(normalize(reverse, chip).term)
     assert max(len(lets) for lets in sorted_spines) == 56
 
 
@@ -233,6 +237,6 @@ def test_chains_sort_as_with_flat_keys(chip0, sorted_spines):
     for n in range(1, 13):
         for text in (cx_chain_term(n), twin_chains_term(n)):
             j = chain_judgement(text, chip0)
-            normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+            normalize(j, chip0)
             normalize(parse_term(text))
     assert max(len(lets) for lets in sorted_spines) == 2 * 12 + 8  # the 12-let twins

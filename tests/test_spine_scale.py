@@ -21,7 +21,7 @@ def normalize_peak(j, chip):
     """``normalize`` of a judgement, and the peak traced memory it took."""
     tracemalloc.start()
     try:
-        nf = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip)
+        nf = normalize(j, chip)
         return nf, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

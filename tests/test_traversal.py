@@ -85,7 +85,7 @@ def test_chain_of_ten_thousand_gates(chip0):
 
     bare = normalize(j.term)
     assert bare.rules == () and alpha_eq(bare.term, j.term)
-    nf = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+    nf = normalize(j, chip0)
     assert nf.rules == () and alpha_eq(nf.term, j.term)
     verdict = judgementally_equal(j.ctx, j.term, j.term, j.type, chip0)
     assert verdict.kind is EqKind.EQUAL
@@ -186,7 +186,7 @@ def golden_lines(chip0):
     mutations = random.Random(7)
     for _ in range(500):
         j = gen_judgement(cfg, rng=rng)
-        nf = normalize(j.term, context=j.ctx, result_type=j.type, chip=chip0)
+        nf = normalize(j, chip0)
         yield print_term(j.term)
         yield alpha_key(j.term)
         yield print_term(nf.term)
@@ -202,7 +202,7 @@ def golden_lines(chip0):
     sig = {"a": Qubit("q1"), "c": Unit()}
     for t, rep in enumerate_well_typed(sig, chip0, 7, gates=("H1", "K1"), box_grades=(0, 20)):
         ctx = tuple(CtxEntry(v, a.const, sig[v]) for v, a in sorted(rep.offsets.items()))
-        nf = normalize(t, context=ctx, result_type=rep.result_type, chip=chip0, budget=3000)
+        nf = normalize(Judgement(ctx, t, rep.result_type), chip0, budget=3000)
         yield print_term(nf.term)
         yield alpha_key(nf.term)
 
