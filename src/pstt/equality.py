@@ -26,7 +26,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 from . import schedule, typecheck
 from .chip import ChipSpec
@@ -53,7 +53,6 @@ from .syntax import (
     fresh_name,
     freshen_binders,
     plug,
-    positions,
     rebuild,
     subst_parallel,
     substitute,
@@ -233,8 +232,10 @@ def _spine_keys(lets: list[TermExpr]) -> tuple[list[tuple], list[set[int]]]:
     proper prefix of another, the next character (an identifier character,
     ``(`` or ``[``) is above ``#``.  Every binder must differ from every
     other binder and from every name free in a scrutinee at or above it
-    (``freshen_binders`` makes it so and the rules keep it so); then any
-    order that respects the dependencies rebuilds without capture.
+    (``freshen_binders`` makes it so, and the rules keep it so on linear
+    terms); then any order that respects the dependencies rebuilds without
+    capture.  A beta step on a non-linear bare term can copy a let together
+    with its binders, and then this raises AssertionError.
     """
     owner: dict[str, tuple[int, int]] = {}
     outer: set[str] = set()  # free names of scrutinees that no spine let binds
@@ -320,26 +321,41 @@ def _sort_pass(t: TermExpr) -> SortPass | None:
     return SortPass(tuple(lets), core, tuple(order), _wrap([lets[i] for i in order], core))
 
 
-def _count_pattern(t: TermExpr, pattern: TermExpr, names: set[str]) -> tuple[int, int]:
-    """(pattern occurrences, stray occurrences of the names) in ``t``.
+def _repacks(node: TermExpr, t: TermExpr, parked: Container[str] = ()) -> bool:
+    """Whether ``t`` is pair or box let ``node``'s ``(x, y)`` / ``box[d] x``, ``*`` if parked."""
+    slots = [Star() if b in parked else Var(b) for b in binders(node)]
+    return t == (Pair(*slots) if type(node) is LetPair else BoxIntro(node.grade, *slots))
 
-    Rebinding one of the names counts as a stray so the caller backs off;
-    normalize works on freshened terms where this cannot happen.
+
+def _census(lets: list[TermExpr], core: TermExpr, top: int) -> tuple[dict, dict]:
+    """Below spine let ``top``: the uses and binding sites of the names bound from ``top`` on.
+
+    One walk of each later scrutinee and of the core.  Spine let ``j`` owns
+    its scrutinee and its own binders, and ``len(lets)`` owns the core.
+    ``uses[x]`` lists ``(place within the owner's part, owner)`` for each
+    occurrence of ``x``; ``sites[x]`` lists the owner of each binding of ``x``.
     """
-    hits = strays = 0
-    cls = type(pattern)
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if type(node) is cls and node == pattern:
-            hits += 1
-        elif type(node) is Var:
-            strays += node.name in names
-        else:
-            if not names.isdisjoint(binders(node)):
-                strays += 2
-            stack.extend(children(node))
-    return hits, strays
+    uses: dict[str, list[tuple[Place | None, int]]] = {b: [] for n in lets[top:] for b in binders(n)}
+    sites: dict[str, list[int]] = {b: [] for b in uses}
+    for owner in range(top + 1, len(lets) + 1):
+        part = core
+        if owner < len(lets):
+            part = lets[owner].scrutinee
+            for b in binders(lets[owner]):
+                sites[b].append(owner)
+        stack: list[tuple[TermExpr, Place | None]] = [(part, None)]
+        while stack:
+            node, up = stack.pop()
+            if type(node) is Var:
+                if node.name in uses:
+                    uses[node.name].append((up, owner))
+                continue
+            for b in binders(node):
+                if b in sites:
+                    sites[b].append(owner)
+            for i, kid in enumerate(children(node)):
+                stack.append((kid, (node, i, up)))
+    return uses, sites
 
 
 def _eta_spine(
@@ -359,71 +375,49 @@ def _eta_spine(
       ``let * = x in ...`` with ``*`` in their core slot.  Un-parking fixes
       the parking shifts to the slot's grade, so this form is taken only
       when the contracted term still checks (``recheck``).
+
+    Both read the uses below L off one census of the spine below its first
+    pair or box let, taken when the scan meets that let.  A let whose binder
+    is bound again below it is skipped: only a beta step that copies a let
+    of a non-linear bare term makes one.
     """
     lets, core = _spine(t)
+    census = None
     for i, node in enumerate(lets):
-        if not isinstance(node, (LetPair, LetBox)):
+        if type(node) is LetStar:
             continue
-        names = set(binders(node))
+        if census is None:
+            census = _census(lets, core, i)
+        uses, sites = census
+        names = binders(node)
+        if any(owner > i for b in names for owner in sites[b]):
+            continue
+        below = [[use for use in uses[b] if use[1] > i] for b in names]
+        rule = f"eta-{_KIND[type(node)]}"
         scrut = node.scrutinee
 
-        # Deep exact repack over the remainder of the term.
-        match node:
-            case LetPair(x, y, _, _):
-                pattern: TermExpr = Pair(Var(x), Var(y))
-                rule = "eta-pair"
-            case LetBox(d, x, _, _):
-                pattern = BoxIntro(d, Var(x))
-                rule = "eta-box"
-        remainder = node.body
-        hits, strays = _count_pattern(remainder, pattern, names)
-        if hits == 1 and strays == 0:
-            # The pattern holds no subterm like itself, so its one hit is
-            # also the first in pre-order.
-            spot = next(up for sub, up in positions(remainder) if sub == pattern)
-            return rule, _wrap(lets[:i], plug(scrut, spot))
+        # Deep exact repack: each binder's one use below is a child of the pattern.
+        if all(len(found) == 1 for found in below):
+            up, owner = below[0][0]
+            if up is not None and _repacks(node, up[0]):
+                hole = plug(scrut, up[2])
+                if owner < len(lets):
+                    lets[owner] = rebuild(lets[owner], (hole, lets[owner].body))
+                    hole = core
+                return rule, _wrap(lets[:i] + lets[i + 1 :], hole)
 
-        # Parked repack at the core position.
+        # Parked repack at the core: each use in a scrutinee is a whole
+        # ``let * = x`` scrutinee, and the core is the pattern with ``*``
+        # in the parked slots.
         if recheck is None:
             continue
-        parked: dict[str, int] = {}
-        blocked = False
-        for j in range(i + 1, len(lets)):
-            inner = lets[j]
-            sc = inner.scrutinee
-            if not names & set(free_vars(sc)):
-                continue
-            if (
-                isinstance(inner, LetStar)
-                and isinstance(sc, Var)
-                and sc.name in names
-                and sc.name not in parked
-            ):
-                parked[sc.name] = j
-            else:
-                blocked = True
-                break
-        if blocked or not parked:
-            continue
-
-        def slot_ok(slot: TermExpr, name: str) -> bool:
-            if name in parked:
-                return slot == Star()
-            return slot == Var(name)
-
-        match node, core:
-            case (LetPair(x, y, _, _), Pair(cl, cr)) if slot_ok(cl, x) and slot_ok(cr, y):
-                pass
-            case (LetBox(d, x, _, _), BoxIntro(d2, inner_slot)) if d == d2 and slot_ok(
-                inner_slot, x
-            ):
-                pass
-            case _:
-                continue
-        drop = {i} | set(parked.values())
-        new = _wrap([keep for j, keep in enumerate(lets) if j not in drop], scrut)
-        if recheck(new):
-            return rule, new
+        held = [(b, up, j) for b, found in zip(names, below) for up, j in found if j < len(lets)]
+        parked = {b: j for b, up, j in held if up is None and type(lets[j]) is LetStar}
+        if held and len(parked) == len(held) and _repacks(node, core, parked):
+            drop = {i, *parked.values()}
+            new = _wrap([keep for j, keep in enumerate(lets) if j not in drop], scrut)
+            if recheck(new):
+                return rule, new
     return None
 
 
@@ -508,7 +502,10 @@ def normalize(
     the unit-typed variables are read off the checker's derivation, which
     ``check`` keeps on the judgement, and a parked contraction is kept only
     if the contracted judgement checks.  A bare term gets neither rule, so
-    fewer equalities are recognized.
+    fewer equalities are recognized.  A bare term is assumed linear, as a
+    checked one is: where a beta step copies a let of a non-linear term, two
+    lets of the spine can bind one name, and the sort pass raises
+    AssertionError.
 
     ``budget`` bounds the rewrites: one beta, eta or hoist step spends one,
     and so does one pass that sorts the let prefix, however many lets it

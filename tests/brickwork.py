@@ -6,8 +6,10 @@
 * ``brickwork_judgement(chip, layers)``: each layer is a run of
   ``let (a, b) = CZ{i}(X{i}(…), X{i+1}(…)) in …`` over alternating pairs,
   and a qubit left idle by a layer gets ``delay[q,60]``.  ``reverse=True``
-  lists each layer's lets in reverse order, an equal program.  The
-  judgement comes from ``infer``.
+  lists each layer's lets in reverse order, an equal program.
+  ``refuted=True`` also replaces the first ``X3(…)`` by ``delay[q3,20](…)``,
+  which lasts as long: the refuted pair's two sides differ only on ``q3``'s
+  channel.  The judgement comes from ``infer``.
 * ``cx_chain_term(n)``: ``let (a1, b1) = CX(a0, b0) in …`` on chip0, where
   every let uses both binders of the one before.
 * ``twin_chains_term(n)``: two such chains, one on each half of a pair of
@@ -49,7 +51,9 @@ def brickwork_chip(n: int, seed: int = 0) -> ChipSpec:
     return parse_chip_spec(json.dumps(doc))
 
 
-def brickwork_judgement(chip: ChipSpec, layers: int, *, reverse: bool = False) -> Judgement:
+def brickwork_judgement(
+    chip: ChipSpec, layers: int, *, reverse: bool = False, refuted: bool = False
+) -> Judgement:
     n = len(chip.qubits)
     wires = [Var(f"x{i}") for i in range(n)]
     lets = []
@@ -64,6 +68,10 @@ def brickwork_judgement(chip: ChipSpec, layers: int, *, reverse: bool = False) -
         for q in range(n):
             if q not in busy:
                 wires[q] = GateApp(f"delay[q{q},60]", (wires[q],))
+    if refuted:
+        k = next(k for k, (_, _, gate) in enumerate(lets) if gate.args[1].gate == "X3")
+        a, b, gate = lets[k]
+        lets[k] = (a, b, GateApp(gate.gate, (gate.args[0], GateApp("delay[q3,20]", gate.args[1].args))))
     term = wires[-1]
     for wire in reversed(wires[:-1]):
         term = Pair(wire, term)

@@ -9,7 +9,11 @@ Kept as the reference for ``pstt.equality.normalize``:
   scan and a second sort that confirm the term is normal;
 * ``freshen_binders`` rebuilds every node, also when it renames nothing;
 * ``expand_unit_var`` types the variables as it goes: it synthesises the
-  type of every let scrutinee it passes, on every step that reaches it.
+  type of every let scrutinee it passes, on every step that reaches it;
+* ``eta_spine`` rescans the rest of the term for every pair or box let of
+  the spine: ``count_pattern`` counts the let's repack patterns and stray
+  uses of its binders, a ``positions`` scan finds the one hit, and the
+  parked half calls ``free_vars`` on each later scrutinee.
 
 ``normalize`` keeps its old keywords: the judgement's context, result type
 and chip, which turn on unit-variable expansion and parked eta.
@@ -24,9 +28,10 @@ from pstt.equality import (
     RewriteStep,
     _beta,
     _eta,
-    _eta_spine,
     _hoist,
     _sort_pass,
+    _spine,
+    _wrap,
 )
 from pstt.syntax import (
     _BODY,
@@ -34,10 +39,12 @@ from pstt.syntax import (
     _CHILDREN,
     _VISIT,
     Box,
+    BoxIntro,
     Judgement,
     LetBox,
     LetPair,
     LetStar,
+    Pair,
     Star,
     Tensor,
     Unit,
@@ -109,6 +116,95 @@ def expand_unit_var(t, env, chip):
     return None
 
 
+def count_pattern(t, pattern, names):
+    """(pattern occurrences, stray occurrences of the names) in ``t``.
+
+    Rebinding one of the names counts as a stray so the caller backs off;
+    normalize works on freshened terms where this cannot happen.
+    """
+    hits = strays = 0
+    cls = type(pattern)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is cls and node == pattern:
+            hits += 1
+        elif type(node) is Var:
+            strays += node.name in names
+        else:
+            if not names.isdisjoint(binders(node)):
+                strays += 2
+            stack.extend(children(node))
+    return hits, strays
+
+
+def eta_spine(t, recheck):
+    """Pair/box eta across the let prefix: a deep exact repack, or a parked repack at the core."""
+    lets, core = _spine(t)
+    for i, node in enumerate(lets):
+        if not isinstance(node, (LetPair, LetBox)):
+            continue
+        names = set(binders(node))
+        scrut = node.scrutinee
+
+        # Deep exact repack over the remainder of the term.
+        match node:
+            case LetPair(x, y, _, _):
+                pattern = Pair(Var(x), Var(y))
+                rule = "eta-pair"
+            case LetBox(d, x, _, _):
+                pattern = BoxIntro(d, Var(x))
+                rule = "eta-box"
+        remainder = node.body
+        hits, strays = count_pattern(remainder, pattern, names)
+        if hits == 1 and strays == 0:
+            spot = next(up for sub, up in positions(remainder) if sub == pattern)
+            return rule, _wrap(lets[:i], plug(scrut, spot))
+
+        # Parked repack at the core position.
+        if recheck is None:
+            continue
+        parked = {}
+        blocked = False
+        for j in range(i + 1, len(lets)):
+            inner = lets[j]
+            sc = inner.scrutinee
+            if not names & set(free_vars(sc)):
+                continue
+            if (
+                isinstance(inner, LetStar)
+                and isinstance(sc, Var)
+                and sc.name in names
+                and sc.name not in parked
+            ):
+                parked[sc.name] = j
+            else:
+                blocked = True
+                break
+        if blocked or not parked:
+            continue
+
+        def slot_ok(slot, name):
+            if name in parked:
+                return slot == Star()
+            return slot == Var(name)
+
+        match node, core:
+            case (LetPair(x, y, _, _), Pair(cl, cr)) if slot_ok(cl, x) and slot_ok(cr, y):
+                pass
+            case (LetBox(d, x, _, _), BoxIntro(d2, inner_slot)) if d == d2 and slot_ok(
+                inner_slot, x
+            ):
+                pass
+            case _:
+                continue
+        drop = {i} | set(parked.values())
+        new = _wrap([keep for j, keep in enumerate(lets) if j not in drop], scrut)
+        if recheck(new):
+            return rule, new
+    return None
+
+
 def find_rewrite(t, env, chip, recheck):
     """The next rewrite: the outermost-leftmost hit of the first rule family that has one."""
     spots = positions(t)
@@ -117,7 +213,7 @@ def find_rewrite(t, env, chip, recheck):
             hit = local(node)
             if hit is not None:
                 return RewriteStep(hit[0], plug(hit[1], up))
-    hit = _eta_spine(t, recheck)
+    hit = eta_spine(t, recheck)
     if hit is not None:
         return RewriteStep(*hit)
     if env is not None and chip is not None:

@@ -50,6 +50,17 @@ def test_brickwork_equals_its_layer_reversed_compilation():
     assert verdict.kind is EqKind.EQUAL
 
 
+def test_the_refuted_brickwork_pair_differs_on_q3_only():
+    chip = brickwork_chip(16, seed=16)
+    forward = brickwork_judgement(chip, 20)
+    refuted = brickwork_judgement(chip, 20, reverse=True, refuted=True)
+    verdict = judgementally_equal(forward.ctx, forward.term, refuted.term, forward.type, chip)
+    assert verdict.kind is EqKind.NOT_EQUAL_SEMANTICS
+    f, g = verdict.witness
+    assert f.channel("q3") != g.channel("q3")
+    assert [ch for ch in f.channels if ch.qubit != "q3"] == [ch for ch in g.channels if ch.qubit != "q3"]
+
+
 def descent(a, b):
     """How many keys deep a comparison of keys ``a`` and ``b`` goes before the texts differ."""
     depth = 0
