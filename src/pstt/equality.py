@@ -16,8 +16,7 @@ which destroys confluence; expansion is valid at every variable occurrence
 (the variable axiom pins the grade to 0) and parks all unit material in
 scrutinee position, where sorting canonicalizes it.  The variables' types
 come from the checker's derivation of the judgement being normalized, read
-once before the first step; a bare term has none, so its normalization
-skips the expansion and canonicalizes less.
+once before the first step.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .syntax import (
     binders,
     children,
     free_vars,
-    fresh_name,
     freshen_binders,
     plug,
     rebuild,
@@ -120,30 +118,9 @@ class NormalForm:
         return tuple(out)
 
 
-# --------------------------------------------------------------- let spine
+# ------------------------------------------------------------ single steps
 
 _KIND = {LetStar: "unit", LetPair: "pair", LetBox: "box"}
-
-
-def _rename_binders(t: TermExpr, avoid: set[str]) -> TermExpr:
-    """Alpha-rename a let node's binders away from ``avoid``."""
-    names = binders(t)
-    if avoid.isdisjoint(names):
-        return t
-    s, b = children(t)
-    taken = set(avoid) | set(free_vars(b)) | set(names)
-    ren: dict[str, TermExpr] = {}
-    new = list(names)
-    for i, x in enumerate(names):
-        if x in avoid:
-            nx = fresh_name(x, taken)
-            taken.add(nx)
-            ren[x] = Var(nx)
-            new[i] = nx
-    return rebuild(t, (s, subst_parallel(b, ren)), tuple(new))
-
-
-# ------------------------------------------------------------ single steps
 
 
 def _beta(t: TermExpr) -> tuple[str, TermExpr] | None:
@@ -166,15 +143,13 @@ def _eta(t: TermExpr) -> tuple[str, TermExpr] | None:
     return None
 
 
-def _lift(inner: TermExpr, avoid: set[str], outer: TermExpr, i: int, pos: str) -> tuple[str, TermExpr]:
+def _lift(inner: TermExpr, outer: TermExpr, i: int, pos: str) -> tuple[str, TermExpr]:
     """Hoist the let ``inner``, child ``i`` of ``outer``, above ``outer``.
 
-    On the freshened terms ``normalize`` rewrites, ``avoid`` never meets
-    ``inner``'s binders, so no hoist renames one.  ``normalize`` relies on
-    this: it marks unit-typed variables by name once, before the first step,
-    and a renamed unit binder would lose its mark.
+    ``normalize`` rewrites a checked, freshened term: it is linear and every
+    binder differs from every other name in it, so no sibling of ``inner``
+    uses one of ``inner``'s binders and the hoist captures nothing.
     """
-    inner = _rename_binders(inner, avoid)
     s, b = children(inner)
     kids = list(children(outer))
     kids[i] = b
@@ -183,22 +158,18 @@ def _lift(inner: TermExpr, avoid: set[str], outer: TermExpr, i: int, pos: str) -
 
 def _hoist(t: TermExpr) -> tuple[str, TermExpr] | None:
     match t:
-        case Pair(inner, r) if type(inner) in _KIND:
-            return _lift(inner, set(free_vars(r)), t, 0, "pair-left")
-        case Pair(l, inner) if type(inner) in _KIND:
-            return _lift(inner, set(free_vars(l)), t, 1, "pair-right")
+        case Pair(inner, _) if type(inner) in _KIND:
+            return _lift(inner, t, 0, "pair-left")
+        case Pair(_, inner) if type(inner) in _KIND:
+            return _lift(inner, t, 1, "pair-right")
         case GateApp(_, args):
             for i, a in enumerate(args):
                 if type(a) in _KIND:
-                    others: set[str] = set()
-                    for j, other in enumerate(args):
-                        if j != i:
-                            others.update(free_vars(other))
-                    return _lift(a, others, t, i, "gate")
+                    return _lift(a, t, i, "gate")
         case BoxIntro(_, inner) if type(inner) in _KIND:
-            return _lift(inner, set(), t, 0, "box")
-        case LetStar(inner, u) | LetPair(_, _, inner, u) | LetBox(_, _, inner, u) if type(inner) in _KIND:
-            return _lift(inner, set(free_vars(u)), t, 0, f"{_KIND[type(t)]}-scrutinee")
+            return _lift(inner, t, 0, "box")
+        case LetStar(inner, _) | LetPair(_, _, inner, _) | LetBox(_, _, inner, _) if type(inner) in _KIND:
+            return _lift(inner, t, 0, f"{_KIND[type(t)]}-scrutinee")
     return None
 
 
@@ -232,10 +203,9 @@ def _spine_keys(lets: list[TermExpr]) -> tuple[list[tuple], list[set[int]]]:
     proper prefix of another, the next character (an identifier character,
     ``(`` or ``[``) is above ``#``.  Every binder must differ from every
     other binder and from every name free in a scrutinee at or above it
-    (``freshen_binders`` makes it so, and the rules keep it so on linear
-    terms); then any order that respects the dependencies rebuilds without
-    capture.  A beta step on a non-linear bare term can copy a let together
-    with its binders, and then this raises AssertionError.
+    (``freshen_binders`` makes it so, and on a checked term no rule copies
+    or captures a binder; this raises AssertionError if one did); then any
+    order that respects the dependencies rebuilds without capture.
     """
     owner: dict[str, tuple[int, int]] = {}
     outer: set[str] = set()  # free names of scrutinees that no spine let binds
@@ -327,22 +297,16 @@ def _repacks(node: TermExpr, t: TermExpr, parked: Container[str] = ()) -> bool:
     return t == (Pair(*slots) if type(node) is LetPair else BoxIntro(node.grade, *slots))
 
 
-def _census(lets: list[TermExpr], core: TermExpr, top: int) -> tuple[dict, dict]:
-    """Below spine let ``top``: the uses and binding sites of the names bound from ``top`` on.
+def _census(lets: list[TermExpr], core: TermExpr, top: int) -> dict[str, list[tuple[Place | None, int]]]:
+    """Below spine let ``top``: the uses of the names bound from ``top`` on.
 
     One walk of each later scrutinee and of the core.  Spine let ``j`` owns
-    its scrutinee and its own binders, and ``len(lets)`` owns the core.
-    ``uses[x]`` lists ``(place within the owner's part, owner)`` for each
-    occurrence of ``x``; ``sites[x]`` lists the owner of each binding of ``x``.
+    its scrutinee, and ``len(lets)`` owns the core.  Each name maps to
+    ``(place within the owner's part, owner)`` for each of its occurrences.
     """
     uses: dict[str, list[tuple[Place | None, int]]] = {b: [] for n in lets[top:] for b in binders(n)}
-    sites: dict[str, list[int]] = {b: [] for b in uses}
     for owner in range(top + 1, len(lets) + 1):
-        part = core
-        if owner < len(lets):
-            part = lets[owner].scrutinee
-            for b in binders(lets[owner]):
-                sites[b].append(owner)
+        part = core if owner == len(lets) else lets[owner].scrutinee
         stack: list[tuple[TermExpr, Place | None]] = [(part, None)]
         while stack:
             node, up = stack.pop()
@@ -350,17 +314,12 @@ def _census(lets: list[TermExpr], core: TermExpr, top: int) -> tuple[dict, dict]
                 if node.name in uses:
                     uses[node.name].append((up, owner))
                 continue
-            for b in binders(node):
-                if b in sites:
-                    sites[b].append(owner)
             for i, kid in enumerate(children(node)):
                 stack.append((kid, (node, i, up)))
-    return uses, sites
+    return uses
 
 
-def _eta_spine(
-    t: TermExpr, recheck: Callable[[TermExpr], bool] | None
-) -> tuple[str, TermExpr] | None:
+def _eta_spine(t: TermExpr, recheck: Callable[[TermExpr], bool]) -> tuple[str, TermExpr] | None:
     """Pair/box eta across the let prefix.
 
     Two shapes are recognized for a prefix let ``L = let (x,y) = t in ...``
@@ -377,21 +336,17 @@ def _eta_spine(
       when the contracted term still checks (``recheck``).
 
     Both read the uses below L off one census of the spine below its first
-    pair or box let, taken when the scan meets that let.  A let whose binder
-    is bound again below it is skipped: only a beta step that copies a let
-    of a non-linear bare term makes one.
+    pair or box let, taken when the scan meets that let.  Binders are fresh,
+    so no name is bound twice and every use below L of L's binders is L's.
     """
     lets, core = _spine(t)
-    census = None
+    uses = None
     for i, node in enumerate(lets):
         if type(node) is LetStar:
             continue
-        if census is None:
-            census = _census(lets, core, i)
-        uses, sites = census
+        if uses is None:
+            uses = _census(lets, core, i)
         names = binders(node)
-        if any(owner > i for b in names for owner in sites[b]):
-            continue
         below = [[use for use in uses[b] if use[1] > i] for b in names]
         rule = f"eta-{_KIND[type(node)]}"
         scrut = node.scrutinee
@@ -409,8 +364,6 @@ def _eta_spine(
         # Parked repack at the core: each use in a scrutinee is a whole
         # ``let * = x`` scrutinee, and the core is the pattern with ``*``
         # in the parked slots.
-        if recheck is None:
-            continue
         held = [(b, up, j) for b, found in zip(names, below) for up, j in found if j < len(lets)]
         parked = {b: j for b, up, j in held if up is None and type(lets[j]) is LetStar}
         if held and len(parked) == len(held) and _repacks(node, core, parked):
@@ -443,15 +396,13 @@ def _unit_vars(d: typecheck.Derivation, t: TermExpr) -> set[str]:
     return units
 
 
-def _find_rewrite(
-    t: TermExpr, units: set[str], recheck: Callable[[TermExpr], bool] | None
-) -> RewriteStep | None:
+def _find_rewrite(t: TermExpr, units: set[str], recheck: Callable[[TermExpr], bool]) -> RewriteStep | None:
     """The next rewrite: the outermost-leftmost hit of the first rule family that has one.
 
     One pre-order walk returns at the first beta redex and notes on its way
     the first eta redex, the first variable named in ``units`` that is not
     already a let-* scrutinee, and the first hoist site, for use when it
-    finds no beta redex; only the chosen hoist renames binders.
+    finds no beta redex.
     """
     eta = unit = site = None
     stack: list[tuple[TermExpr, Place | None]] = [(t, None)]
@@ -491,21 +442,14 @@ def _find_rewrite(
     return None
 
 
-def normalize(
-    subject: Judgement | TermExpr, chip: ChipSpec | None = None, *, budget: int = DEFAULT_BUDGET
-) -> NormalForm:
-    """Rewrite to the canonical form; raises BudgetExceeded if it runs long.
+def normalize(j: Judgement, chip: ChipSpec, *, budget: int = DEFAULT_BUDGET) -> NormalForm:
+    """Rewrite ``j``'s term to the canonical form; raises BudgetExceeded if it runs long.
 
-    ``subject`` is a judgement, checked on ``chip`` (raising TypingError if
-    it does not check), or a bare term.  The grade-aware rules,
-    unit-variable expansion and parked eta contraction, need a judgement:
-    the unit-typed variables are read off the checker's derivation, which
-    ``check`` keeps on the judgement, and a parked contraction is kept only
-    if the contracted judgement checks.  A bare term gets neither rule, so
-    fewer equalities are recognized.  A bare term is assumed linear, as a
-    checked one is: where a beta step copies a let of a non-linear term, two
-    lets of the spine can bind one name, and the sort pass raises
-    AssertionError.
+    ``normalize`` takes a checked judgement: ``j`` is checked on ``chip``
+    (raising TypingError if it does not check), so its term is linear.  The
+    grade-aware rules use the check: the unit-typed variables are read off
+    the checker's derivation, which ``check`` keeps on the judgement, and a
+    parked eta contraction is kept only if the contracted judgement checks.
 
     ``budget`` bounds the rewrites: one beta, eta or hoist step spends one,
     and so does one pass that sorts the let prefix, however many lets it
@@ -516,22 +460,19 @@ def normalize(
     dependants below it stay as they were, binders are fresh, and keys are
     alpha-stable with ties kept in order, so nothing applies after it.
     """
-    if isinstance(subject, Judgement):
-        if chip is None:
-            raise TypeError("normalizing a judgement needs the chip it checks on")
-        derivation = typecheck.check(subject, chip)
-        t = freshen_binders(subject.term)
-        # Binders stay fresh and no rule renames one, so each name keeps its type.
-        units = _unit_vars(derivation, t)
+    if not isinstance(j, Judgement):
+        raise TypeError(f"normalize takes a Judgement, not {type(j).__name__}")
+    derivation = typecheck.check(j, chip)
+    t = freshen_binders(j.term)
+    # Binders stay fresh and no rule renames one, so each name keeps its type.
+    units = _unit_vars(derivation, t)
 
-        def recheck(t2: TermExpr) -> bool:
-            try:
-                typecheck.check(Judgement(subject.ctx, t2, subject.type), chip)
-                return True
-            except TypingError:
-                return False
-    else:
-        t, units, recheck = freshen_binders(subject), set(), None
+    def recheck(t2: TermExpr) -> bool:
+        try:
+            typecheck.check(Judgement(j.ctx, t2, j.type), chip)
+            return True
+        except TypingError:
+            return False
 
     steps: list[RewriteStep | SortPass] = []
     while True:

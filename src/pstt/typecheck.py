@@ -515,8 +515,8 @@ def premise_shifts(d: Derivation) -> tuple[int, ...]:
 
 def _free_uses(root: Derivation) -> list[tuple[str, int, TypeExpr]]:
     """Name, grade and type of each free variable of ``root``, left to right:
-    each is at the sum of the premise shifts on its path, which the walk
-    reads off the rules.  Names bound by a let inside ``root`` are dropped."""
+    each is at the sum of the premise shifts on its path (``premise_shifts``).
+    Names bound by a let inside ``root`` are dropped."""
     uses: list[tuple[str, int, TypeExpr]] = []
     bound: dict[str, int] = {}  # name -> lets binding it around the current node
     stack: list[tuple] = [(root, 0)]  # (node, grade), or (+1/-1, names) around a let body
@@ -528,17 +528,16 @@ def _free_uses(root: Derivation) -> list[tuple[str, int, TypeExpr]]:
         elif d.rule == "var":
             if not bound.get(d.term.name):
                 uses.append((d.term.name, o, d.type))
-        elif d.rule == "gate" or d.rule == "pair-intro":
-            o -= sum(d.params)  # a gate's arguments finish its duration earlier
-            stack += [(p, o) for p in reversed(d.premises)]
-        elif d.rule == "box-intro":
-            stack.append((d.premises[0], o + d.params[0]))
-        elif d.rule in ("unit-elim", "pair-elim", "box-elim"):
-            shift = d.params[1] - d.params[0] if d.rule == "box-elim" else d.params[0]
-            names = binders(d.term)
-            stack += [(-1, names), (d.premises[1], o), (1, names), (d.premises[0], o + shift)]
-        elif d.rule != "unit-intro":
-            raise ValueError(f"unknown derivation rule {d.rule!r}")
+        else:
+            shifts = premise_shifts(d)
+            i = len(shifts) - 1  # premises are pushed last first, to be walked left to right
+            if d.rule == "pair-elim" or d.rule == "box-elim":  # its binders scope over the body
+                names = binders(d.term)
+                stack += [(-1, names), (d.premises[1], o), (1, names)]
+                i = 0
+            while i >= 0:
+                stack.append((d.premises[i], o + shifts[i]))
+                i -= 1
     return uses
 
 

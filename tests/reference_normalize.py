@@ -13,12 +13,15 @@ Kept as the reference for ``pstt.equality.normalize``:
 * ``eta_spine`` rescans the rest of the term for every pair or box let of
   the spine: ``count_pattern`` counts the let's repack patterns and stray
   uses of its binders, a ``positions`` scan finds the one hit, and the
-  parked half calls ``free_vars`` on each later scrutinee.
+  parked half calls ``free_vars`` on each later scrutinee;
+* ``hoist`` renames the hoisted let's binders away from the free names of
+  its siblings (``rename_binders``), as a rewriter of bare, possibly
+  non-linear terms must.
 
 ``normalize`` keeps its old keywords: the judgement's context, result type
 and chip, which turn on unit-variable expansion and parked eta.
 
-The single-node rules and the sort pass are the package's own.
+The beta and eta rules and the sort pass are the package's own.
 """
 
 from pstt import typecheck
@@ -26,9 +29,9 @@ from pstt.equality import (
     BudgetExceeded,
     NormalForm,
     RewriteStep,
+    _KIND,
     _beta,
     _eta,
-    _hoist,
     _sort_pass,
     _spine,
     _wrap,
@@ -40,6 +43,7 @@ from pstt.syntax import (
     _VISIT,
     Box,
     BoxIntro,
+    GateApp,
     Judgement,
     LetBox,
     LetPair,
@@ -55,6 +59,7 @@ from pstt.syntax import (
     free_vars,
     fresh_name,
     plug,
+    rebuild,
     subst_parallel,
 )
 from pstt.typecheck import TypingError, synthesize
@@ -72,6 +77,54 @@ def positions(t):
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], (node, i, up)))
     return out
+
+
+def rename_binders(t, avoid):
+    """Alpha-rename a let node's binders away from ``avoid``."""
+    names = binders(t)
+    if avoid.isdisjoint(names):
+        return t
+    s, b = children(t)
+    taken = set(avoid) | set(free_vars(b)) | set(names)
+    ren = {}
+    new = list(names)
+    for i, x in enumerate(names):
+        if x in avoid:
+            nx = fresh_name(x, taken)
+            taken.add(nx)
+            ren[x] = Var(nx)
+            new[i] = nx
+    return rebuild(t, (s, subst_parallel(b, ren)), tuple(new))
+
+
+def lift(inner, avoid, outer, i, pos):
+    """Hoist the let ``inner``, child ``i`` of ``outer``, above ``outer``, renaming away from ``avoid``."""
+    inner = rename_binders(inner, avoid)
+    s, b = children(inner)
+    kids = list(children(outer))
+    kids[i] = b
+    return f"hoist-{_KIND[type(inner)]}-from-{pos}", rebuild(inner, (s, rebuild(outer, kids)))
+
+
+def hoist(t):
+    match t:
+        case Pair(inner, r) if type(inner) in _KIND:
+            return lift(inner, set(free_vars(r)), t, 0, "pair-left")
+        case Pair(l, inner) if type(inner) in _KIND:
+            return lift(inner, set(free_vars(l)), t, 1, "pair-right")
+        case GateApp(_, args):
+            for i, a in enumerate(args):
+                if type(a) in _KIND:
+                    others = set()
+                    for j, other in enumerate(args):
+                        if j != i:
+                            others.update(free_vars(other))
+                    return lift(a, others, t, i, "gate")
+        case BoxIntro(_, inner) if type(inner) in _KIND:
+            return lift(inner, set(), t, 0, "box")
+        case LetStar(inner, u) | LetPair(_, _, inner, u) | LetBox(_, _, inner, u) if type(inner) in _KIND:
+            return lift(inner, set(free_vars(u)), t, 0, f"{_KIND[type(t)]}-scrutinee")
+    return None
 
 
 def expand_unit_var(t, env, chip):
@@ -221,7 +274,7 @@ def find_rewrite(t, env, chip, recheck):
         if expanded is not None:
             return RewriteStep("eta-unit", expanded)
     for node, up in spots:
-        hit = _hoist(node)
+        hit = hoist(node)
         if hit is not None:
             return RewriteStep(hit[0], plug(hit[1], up))
     return None

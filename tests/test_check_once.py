@@ -273,7 +273,7 @@ def rechecks(monkeypatch):
             calls.append(None)
             return recheck(t2)
 
-        return eta_spine(t, None if recheck is None else counted)
+        return eta_spine(t, counted)
 
     monkeypatch.setattr(equality, "_eta_spine", counting)
     return calls

@@ -6,58 +6,75 @@ from pstt import (
     EqKind,
     Judgement,
     Qubit,
+    TypingError,
     Unit,
     alpha_eq,
     check,
     judgementally_equal,
     make_context,
     normalize,
+    parse,
     parse_term,
     parse_type,
     print_term,
 )
-from pstt.equality import ALL_RULES, BudgetExceeded
+from pstt.equality import ALL_RULES, BudgetExceeded, _beta
 from pstt.testkit import GenConfig, gen_judgement
 
 
-def nf(src, **kw):
-    return print_term(normalize(parse_term(src), **kw).term)
+def judgement(ctx, src, ty):
+    """``ctx |- src : ty``, each written in the surface syntax."""
+    return parse(f"schedule s ({ctx}) : {ty} = {src}\n").declarations[0].judgement
 
 
-def test_beta_unit():
-    assert nf("let * = * in x") == "x"
+def nf(chip, ctx, src, ty):
+    return print_term(normalize(judgement(ctx, src, ty), chip).term)
 
 
-def test_beta_pair_swaps_components():
-    assert nf("let (x, y) = (a, b) in (y, x)") == "(b, a)"
+def test_beta_unit(chip0):
+    assert nf(chip0, "x:^0 q1", "let * = * in x", "q1") == "x"
 
 
-def test_eta_pair():
-    assert nf("let (x, y) = t in (x, y)") == "t"
+def test_beta_pair_swaps_components(chip0):
+    assert nf(chip0, "a:^0 q1, b:^0 q2", "let (x, y) = (a, b) in (y, x)", "q2 * q1") == "(b, a)"
 
 
-def test_beta_box():
-    assert nf("let box[30] x = box[30] a in H1(x)") == "H1(a)"
+def test_eta_pair(chip0):
+    assert nf(chip0, "t:^0 q1 * q2", "let (x, y) = t in (x, y)", "q1 * q2") == "t"
 
 
-def test_box_grade_mismatch_is_not_a_redex():
-    assert nf("let box[30] x = box[20] a in x") == "let box[30] x = box[20] a in x"
+def test_beta_box(chip0):
+    assert nf(chip0, "a:^-20 q1", "let box[30] x = box[30] a in H1(x)", "q1") == "H1(a)"
 
 
-def test_lets_hoist_to_prefix():
-    assert nf("(a, let * = s in b)") == "let * = s in (a, b)"
-    assert nf("box[3] let * = s in b") == "let * = s in box[3] b"
-    assert nf("H1(let * = s in x)") == "let * = s in H1(x)"
-    assert nf("let * = (let * = s in t) in u") == "let * = s in let * = t in u"
+def test_box_grade_mismatch_is_not_a_redex(chip0):
+    # The let and the box disagree on the grade, so no judgement types the
+    # term; the beta rule leaves it alone all the same.
+    term = parse_term("let box[30] x = box[20] a in x")
+    assert _beta(term) is None
+    with pytest.raises(TypingError, match=r"let box\[30\] must have type \[30\] A, got \[20\] q1"):
+        normalize(Judgement(make_context([("a", 0, Qubit("q1"))]), term, parse_type("q1")), chip0)
 
 
-def test_independent_lets_sort_by_scrutinee():
-    assert nf("let * = yy in let * = xx in *") == "let * = xx in let * = yy in *"
+def test_lets_hoist_to_prefix(chip0):
+    assert nf(chip0, "a:^0 q1, s:^0 1, b:^0 q2", "(a, let * = s in b)", "q1 * q2") == (
+        "let * = s in (a, b)"
+    )
+    assert nf(chip0, "s:^3 1, b:^3 q1", "box[3] let * = s in b", "[3] q1") == "let * = s in box[3] b"
+    assert nf(chip0, "s:^-20 1, x:^-20 q1", "H1(let * = s in x)", "q1") == "let * = s in H1(x)"
+    assert (
+        nf(chip0, "s:^0 1, t:^0 1, u:^0 q1", "let * = (let * = s in t) in u", "q1")
+        == "let * = s in let * = t in u"
+    )
 
 
-def test_dependent_lets_do_not_reorder():
-    src = "let (zz, ww) = p in let * = zz in let * = ww in *"
-    out = nf(src)
+def test_independent_lets_sort_by_scrutinee(chip0):
+    out = nf(chip0, "yy:^0 1, xx:^0 1", "let * = yy in let * = xx in *", "1")
+    assert out == "let * = xx in let * = yy in *"
+
+
+def test_dependent_lets_do_not_reorder(chip0):
+    out = nf(chip0, "p:^0 1 * 1", "let (zz, ww) = p in let * = zz in let * = ww in *", "1")
     assert out.startswith("let (zz, ww) = p")
 
 
@@ -101,22 +118,30 @@ def test_congruence_under_contexts(chip0):
 
     redex = parse_term("let * = * in x")
     reduced = parse_term("x")
+    x, w, u = ("x", 0, Qubit("q1")), ("w", 0, Qubit("q2")), ("u", 0, Unit())
     contexts = [
-        lambda h: Pair(h, Var("w")),
-        lambda h: Pair(Var("w"), h),
-        lambda h: BoxIntro(5, h),
-        lambda h: LetStar(Var("u"), h),
+        (lambda h: Pair(h, Var("w")), [x, w], "q1 * q2"),
+        (lambda h: Pair(Var("w"), h), [w, x], "q2 * q1"),
+        (lambda h: BoxIntro(5, h), [("x", 5, Qubit("q1"))], "[5] q1"),
+        (lambda h: LetStar(Var("u"), h), [u, x], "q1"),
     ]
-    for ctx_of in contexts:
-        a = normalize(ctx_of(redex))
-        b = normalize(ctx_of(reduced))
+    for ctx_of, ctx, ty in contexts:
+        ctx, ty = make_context(ctx), parse_type(ty)
+        a = normalize(Judgement(ctx, ctx_of(redex), ty), chip0)
+        b = normalize(Judgement(ctx, ctx_of(reduced), ty), chip0)
         assert alpha_eq(a.term, b.term)
 
 
-def test_budget_exhaustion_raises():
-    term = parse_term("let (x, y) = (a, b) in (y, x)")
+def test_budget_exhaustion_raises(chip0):
+    j = judgement("a:^0 q1, b:^0 q2", "let (x, y) = (a, b) in (y, x)", "q2 * q1")
     with pytest.raises(BudgetExceeded):
-        normalize(term, budget=0)
+        normalize(j, chip0, budget=0)
+
+
+def test_normalize_takes_only_a_judgement(chip0):
+    j = judgement("x:^0 q1", "let * = * in x", "q1")
+    with pytest.raises(TypeError, match="takes a Judgement"):
+        normalize(j.term, chip0)
 
 
 # ------------------------------------------------------------ judgemental
@@ -175,8 +200,6 @@ def test_delay_is_not_erasable(chip0):
 
 
 def test_ill_typed_inputs_rejected(chip0):
-    from pstt import TypingError
-
     ctx = make_context([("x", 5, Qubit("q1"))])
     with pytest.raises(TypingError):
         judgementally_equal(ctx, parse_term("x"), parse_term("x"), Qubit("q1"), chip0)

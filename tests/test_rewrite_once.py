@@ -71,13 +71,12 @@ def equiv_pairs(chip, rng, count):
 
 @pytest.fixture(scope="module")
 def cases(chip0):
-    """``(subject, chip)`` over the corpus: each judgement checked on its chip, and its bare term."""
+    """``(judgement, chip)`` over the corpus, each judgement checked on its chip."""
     out = []
 
     def judgement(j, chip):
         check(j, chip)
         out.append((j, chip))
-        out.append((j.term, None))
 
     for seed in (7, 107):
         rng = random.Random(seed)
@@ -114,11 +113,9 @@ def shown(nf):
     return steps, nf.rules, trace, print_term(nf.term)
 
 
-def reference_call(subject, chip):
-    """The reference's arguments for a case: the term and, for a judgement, its keywords."""
-    if isinstance(subject, Judgement):
-        return subject.term, dict(context=subject.ctx, result_type=subject.type, chip=chip)
-    return subject, {}
+def reference_keywords(j, chip):
+    """The reference's keywords for a case: the judgement's context, type and chip."""
+    return dict(context=j.ctx, result_type=j.type, chip=chip)
 
 
 def outcome(run, *args, **kw):
@@ -128,10 +125,10 @@ def outcome(run, *args, **kw):
         return "budget", e.steps, print_term(e.partial)
 
 
-def live_and_reference(subject, chip, **budget):
+def live_and_reference(j, chip, **budget):
     """The outcomes of ``normalize`` and of the frozen reference on one case."""
-    term, kw = reference_call(subject, chip)
-    return outcome(normalize, subject, chip, **budget), outcome(ref.normalize, term, **kw, **budget)
+    kw = reference_keywords(j, chip)
+    return outcome(normalize, j, chip, **budget), outcome(ref.normalize, j.term, **kw, **budget)
 
 
 def test_normalize_matches_the_frozen_reference(cases):
@@ -189,29 +186,33 @@ def test_a_renamed_unit_binder_still_expands(chip0):
 
 
 def test_no_hoist_renames_a_binder(cases, monkeypatch):
-    # ``normalize`` marks unit-typed variables by name before the first
-    # step, so a hoist that renamed a binder would drop its mark.
+    # ``normalize`` hoists without renaming: on a checked, freshened term no
+    # hoist captures a name.  The frozen reference still renames wherever a
+    # hoisted binder meets a sibling's free name, and never does here.
     def no_renaming(name, taken):
-        raise AssertionError(f"a hoist renamed {name!r}")
+        if name in taken:
+            raise AssertionError(f"a hoist renamed {name!r}")
+        return name
 
-    monkeypatch.setattr(equality, "fresh_name", no_renaming)
+    monkeypatch.setattr(ref, "fresh_name", no_renaming)
     pair_let = parse(SHADOWING).declarations[0].term.body  # let (x, y) = p in (y, x)
     with pytest.raises(AssertionError, match="renamed 'x'"):  # the patch reaches the renaming
-        equality._rename_binders(pair_let, {"x"})
+        ref.rename_binders(pair_let, {"x"})
     hoists = 0
-    for case in cases:
-        hoists += sum(r.startswith("hoist-") for r in normalize(*case).rules)
+    for j, chip in cases:
+        # Freshened as ``normalize`` freshens it, so that only a hoist could rename.
+        nf = ref.normalize(freshen_binders(j.term), **reference_keywords(j, chip))
+        hoists += sum(r.startswith("hoist-") for r in nf.rules)
     assert hoists > 100
 
 
 def test_the_reference_finds_nothing_after_a_sort(cases):
     checked = 0
-    for case in cases:
-        nf = normalize(*case)
+    for j, chip in cases:
+        nf = normalize(j, chip)
         if nf.steps and type(nf.steps[-1]) is SortPass:
-            _, kw = reference_call(*case)
-            env, recheck = ref.rule_env(kw.get("context"), kw.get("result_type"), kw.get("chip"))
-            assert ref.find_rewrite(nf.term, env, kw.get("chip"), recheck) is None
+            env, recheck = ref.rule_env(j.ctx, j.type, chip)
+            assert ref.find_rewrite(nf.term, env, chip, recheck) is None
             assert _sort_pass(nf.term) is None
             checked += 1
     assert checked > 20

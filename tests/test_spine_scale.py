@@ -73,7 +73,7 @@ def descent(a, b):
 
 def test_twin_chains_compare_keys_300_levels_deep(chip0):
     n = 300
-    nf = normalize(chain_judgement(twin_chains_term(n), chip0).term)
+    nf = normalize(chain_judgement(twin_chains_term(n), chip0), chip0)
     lets, _ = _spine(nf.term)
     keys = dict(zip((node.x for node in lets), _spine_keys(lets)[0]))
     # Down the chains, then to the lets that split p's two halves.
