@@ -73,15 +73,7 @@ from .syntax import (
     shift_context,
     substitute,
 )
-from .typecheck import (
-    Derivation,
-    ErrorKind,
-    OffsetReport,
-    TypingError,
-    check,
-    infer,
-    synthesize,
-)
+from .typecheck import Derivation, ErrorKind, TypingError, check, infer
 
 __all__ = [
     "__version__",
@@ -98,8 +90,7 @@ __all__ = [
     "parse_term", "parse_type", "print_context", "print_judgement",
     "print_term", "print_type",
     # typecheck
-    "Derivation", "ErrorKind", "OffsetReport", "TypingError", "check",
-    "infer", "synthesize",
+    "Derivation", "ErrorKind", "TypingError", "check", "infer",
     # equality
     "BudgetExceeded", "EqKind", "EqVerdict", "NormalForm",
     "judgementally_equal", "normalize",

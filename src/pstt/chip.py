@@ -19,6 +19,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from .syntax import Qubit, TypeExpr, tensor_of
 
 QubitId = str
 
@@ -51,6 +54,16 @@ class GateDecl:
             raise ChipError(f"gate {self.name!r} repeats a qubit in its tuple")
         if self.duration < 0:
             raise ChipError(f"gate {self.name!r} has negative duration")
+
+    @cached_property
+    def arg_types(self) -> tuple[Qubit, ...]:
+        """The type of each argument: one ``Qubit`` per qubit, in order."""
+        return tuple(Qubit(q) for q in self.qubits)
+
+    @cached_property
+    def type(self) -> TypeExpr:
+        """The result type: the tensor of the argument types."""
+        return tensor_of(self.arg_types)
 
 
 @dataclass(frozen=True)

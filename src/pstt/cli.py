@@ -26,7 +26,7 @@ from .surface import (
     print_term,
     print_type,
 )
-from .syntax import free_occurrences
+from .syntax import LetStar, free_occurrences, positions
 from .typecheck import TypingError, check, infer
 
 
@@ -90,13 +90,13 @@ def _cmd_infer(args, out) -> int:
     for decl in source.declarations:
         env = {e.name: e.type for e in decl.ctx}
         try:
-            judgement, _, report = infer(decl.term, env, chip)
+            judgement = infer(decl.term, env, chip)
         except TypingError as exc:
             failures += 1
             print(f"{decl.name}: {_error_text(str(exc))}", file=out)
             continue
         note = ""
-        if report.slack_ids:
+        if any(type(t) is LetStar for t, _ in positions(decl.term)):  # each let * adds a slack
             note = "   # free let-* shifts reported at 0 (convention)"
         print(
             f"{decl.name}: ({print_context(judgement.ctx)}) :"

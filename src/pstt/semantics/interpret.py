@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..surface import print_context
-from ..syntax import Context, CtxEntry, Judgement
+from ..syntax import Context, CtxEntry, Judgement, shift_context
 from ..typecheck import Derivation
 from .model import (
     Model,
@@ -20,6 +20,7 @@ from .model import (
     ShapeLeaf,
     ShapeNode,
     ShapeUnit,
+    comb_obj,
     shape_obj,
     shapes_equal,
     structural,
@@ -68,20 +69,9 @@ def _dist_chain(m: Model, d: int, objs: list[Any]) -> Any:
     if len(objs) == 1:
         return m.identity(m.act_obj(d, objs[0]))
     rest = objs[1:]
-    rest_whole = _rc_obj(m, rest)
+    rest_whole = comb_obj(m, rest)
     step = m.tensor_mor(m.identity(m.act_obj(d, objs[0])), _dist_chain(m, d, rest))
     return m.compose(m.dist_tensor(d, objs[0], rest_whole), step)
-
-
-def _rc_obj(m: Model, objs: list[Any]) -> Any:
-    out = objs[-1]
-    for o in reversed(objs[:-1]):
-        out = m.tensor_obj(o, out)
-    return out
-
-
-def _shift(ctx: Context, s: int) -> Context:
-    return tuple(CtxEntry(e.name, e.grade + s, e.type) for e in ctx)
 
 
 def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
@@ -108,7 +98,7 @@ def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
         case "gate":
             dur = d.params[0]
             mors, ctxs = zip(*(_interp(p, m) for p in d.premises))
-            shifted = [_shift(c, -dur) for c in ctxs]
+            shifted = [shift_context(-dur, c) for c in ctxs]
             ctx = tuple(e for c in shifted for e in c)
             groups = [context_shape(m, c) for c in shifted]
             split = structural(m, context_shape(m, ctx), _rc_shape(groups))
@@ -120,7 +110,7 @@ def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
         case "unit-elim":
             shift = d.params[0]
             (scrut, sctx), (body, delta) = (_interp(p, m) for p in d.premises)
-            shifted = _shift(sctx, shift)
+            shifted = shift_context(shift, sctx)
             ctx = shifted + delta
             delta_obj = context_obj(m, delta)
             split = structural(
@@ -147,7 +137,7 @@ def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
             tensor_ty = d.premises[0].type
             a_obj = m.type_obj(tensor_ty.left)
             b_obj = m.type_obj(tensor_ty.right)
-            shifted = _shift(sctx, shift)
+            shifted = shift_context(shift, sctx)
             delta = tuple(e for e in bctx if e.name not in (x, y))
             ctx = shifted + delta
             delta_obj = context_obj(m, delta)
@@ -179,7 +169,8 @@ def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
         case "box-intro":
             grade = d.params[0]
             body, bctx = _interp(d.premises[0], m)
-            return m.compose(m.act_mor(grade, body), _absorb(m, grade, bctx)), _shift(bctx, grade)
+            mor = m.compose(m.act_mor(grade, body), _absorb(m, grade, bctx))
+            return mor, shift_context(grade, bctx)
 
         case "box-elim":
             grade, binder_grade = d.params
@@ -187,7 +178,7 @@ def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
             (scrut, sctx), (body, bctx) = (_interp(p, m) for p in d.premises)
             x = d.term.x
             a_obj = m.type_obj(d.premises[0].type.body)
-            shifted = _shift(sctx, shift)
+            shifted = shift_context(shift, sctx)
             delta = tuple(e for e in bctx if e.name != x)
             ctx = shifted + delta
             delta_obj = context_obj(m, delta)

@@ -267,7 +267,7 @@ def leaf_permutation(m: Model, src: list[ShapeLeaf], dst: list[ShapeLeaf]) -> li
     return perm
 
 
-def _comb_obj(m: Model, objs: list[Any]) -> Any:
+def comb_obj(m: Model, objs: list[Any]) -> Any:
     if not objs:
         return m.unit()
     out = objs[-1]
@@ -279,16 +279,16 @@ def _comb_obj(m: Model, objs: list[Any]) -> Any:
 def _merge_combs(m: Model, left: list[Any], right: list[Any]) -> tuple[Any, Any]:
     """comb(L) (x) comb(R) <-> comb(L + R), (forward, backward)."""
     if not left:
-        return m.lunit(_comb_obj(m, right)), m.lunit_inv(_comb_obj(m, right))
+        return m.lunit(comb_obj(m, right)), m.lunit_inv(comb_obj(m, right))
     if not right:
-        return m.runit(_comb_obj(m, left)), m.runit_inv(_comb_obj(m, left))
+        return m.runit(comb_obj(m, left)), m.runit_inv(comb_obj(m, left))
     if len(left) == 1:
-        obj = m.tensor_obj(left[0], _comb_obj(m, right))
+        obj = m.tensor_obj(left[0], comb_obj(m, right))
         return m.identity(obj), m.identity(obj)
     head, rest = left[0], left[1:]
     sub_f, sub_b = _merge_combs(m, rest, right)
-    rest_obj = _comb_obj(m, rest)
-    right_obj = _comb_obj(m, right)
+    rest_obj = comb_obj(m, rest)
+    right_obj = comb_obj(m, right)
     fwd = m.compose(
         m.tensor_mor(m.identity(head), sub_f), m.assoc(head, rest_obj, right_obj)
     )
@@ -323,7 +323,7 @@ def _swap_at(m: Model, objs: list[Any], i: int) -> Any:
         if len(objs) == 2:
             return m.braid(objs[0], objs[1])
         a, b, rest = objs[0], objs[1], objs[2:]
-        rest_obj = _comb_obj(m, rest)
+        rest_obj = comb_obj(m, rest)
         return m.compose_all(
             [
                 m.assoc_inv(a, b, rest_obj),
@@ -337,7 +337,7 @@ def _swap_at(m: Model, objs: list[Any], i: int) -> Any:
 def _perm_comb(m: Model, objs: list[Any], perm: list[int]) -> Any:
     """comb(objs) -> comb(objs permuted); perm[j] = source index at slot j."""
     current = list(range(len(objs)))
-    mor = m.identity(_comb_obj(m, objs))
+    mor = m.identity(comb_obj(m, objs))
     for j in range(len(perm)):
         k = current.index(perm[j])
         while k > j:

@@ -31,7 +31,6 @@ from ..syntax import (
     fresh_name,
     free_vars,
     substitute,
-    tensor_of,
 )
 from .model import Model, ModelError
 
@@ -201,18 +200,17 @@ class SyntacticModel(Model):
         decl = self.chip.find_gate(gate)
         if decl is None:
             raise ModelError(f"unknown gate {gate!r}")
-        qubits = list(decl.qubits)
-        result = tensor_of([Qubit(q) for q in qubits])
-        src = Box(-decl.duration, result)
-        names = [f"w{i}" for i in range(len(qubits))]
-        if len(qubits) == 1:
+        n = len(decl.qubits)
+        src = Box(-decl.duration, decl.type)
+        names = [f"w{i}" for i in range(n)]
+        if n == 1:
             body: TermExpr = GateApp(gate, (Var("y"),))
         else:
             # Unpack the right-nested tensor: let (w0, r0) = y in ...
             body = GateApp(gate, tuple(Var(n) for n in names))
-            rests = [f"r{i}" for i in range(len(qubits) - 2)] + [names[-1]]
-            for i in range(len(qubits) - 2, -1, -1):
+            rests = [f"r{i}" for i in range(n - 2)] + [names[-1]]
+            for i in range(n - 2, -1, -1):
                 source = Var("y") if i == 0 else Var(f"r{i - 1}")
                 body = LetPair(names[i], rests[i], source, body)
         term = LetBox(-decl.duration, "y", Var("x"), body)
-        return SynMorphism(src, result, "x", term)
+        return SynMorphism(src, decl.type, "x", term)

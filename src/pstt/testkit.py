@@ -19,6 +19,7 @@ from .syntax import (
     Box,
     BoxIntro,
     Context,
+    CtxEntry,
     GateApp,
     Judgement,
     LETS,
@@ -45,9 +46,8 @@ from .syntax import (
     rebuild,
     subst_parallel,
     substitute,
-    tensor_of,
 )
-from .typecheck import TypingError, _synth, check, infer, synthesize
+from .typecheck import TypingError, _synth, check, infer
 
 _GRADES = (-120, 120)  # range of generated grades and slack values
 _ATTEMPTS = 60  # generation attempts before falling back
@@ -75,8 +75,6 @@ class _Gen:
         self.pool: set[str] | None = set(cfg.chip.qubits) if cfg.distinct_qubits else None
         self.allow_fresh = True
         self.var_types: dict[str, TypeExpr] = {}
-        # each chip gate with its result type, built once
-        self.gate_types = [(tensor_of([Qubit(q) for q in g.qubits]), g) for g in self.chip.gates]
 
     def fresh(self, base: str = "v") -> str:
         self.counter += 1
@@ -141,7 +139,7 @@ class _Gen:
         return out
 
     def gates_for(self, goal: TypeExpr) -> list:
-        return [g for ty, g in self.gate_types if ty == goal]
+        return [g for g in self.chip.gates if g.type == goal]
 
     def gen(self, goal: TypeExpr, depth: int, must_use: list[tuple[str, TypeExpr]]) -> TermExpr:
         if depth <= 1:
@@ -202,7 +200,7 @@ class _Gen:
                 decl = self.rng.choice(decls)
                 uses = self.split_uses(must_use, len(decl.qubits))
                 args = tuple(
-                    self.gen(Qubit(q), depth - 1, u) for q, u in zip(decl.qubits, uses)
+                    self.gen(ty, depth - 1, u) for ty, u in zip(decl.arg_types, uses)
                 )
                 return GateApp(decl.name, args)
             case "delay":
@@ -252,14 +250,12 @@ def gen_judgement(
             pool = list(cfg.chip.qubits)
             this_goal = goal if goal is not None else gen.random_type(3, pool)
             term = gen.gen(this_goal, cfg.max_depth, [])
-            report = synthesize(term, gen.var_types, cfg.chip)
-            slacks = {sid: rng.randint(*_GRADES) for sid in report.slack_ids}
-            judgement, _, _ = infer(term, gen.var_types, cfg.chip, slacks)
+            derivation, _, synth = _synth(term, gen.var_types, cfg.chip)
         except (TypingError, _GenFail):
             continue
-        # A copy, so that check decides it afresh instead of reusing infer's evidence.
-        j = Judgement(judgement.ctx, term, judgement.type)
-        check(j, cfg.chip)
+        synth.settle({sid: rng.randint(*_GRADES) for sid in synth.slacks})
+        j = Judgement(derivation.ctx, term, derivation.type)
+        check(j, cfg.chip)  # decided afresh: the judgement keeps no evidence yet
         return j
     fallback = Judgement((), Star(), Unit())
     check(fallback, cfg.chip)
@@ -283,15 +279,11 @@ def gen_single_var_judgement(
             goal = Box(gen.grade(), goal)
         try:
             term = gen.gen(goal, cfg.max_depth, [("z0", var_type)])
-            judgement, _, _ = infer(
-                term, {"z0": var_type}, cfg.chip, pin_grades={"z0": 0}
-            )
+            j = Judgement((CtxEntry("z0", 0, var_type),), term, goal)
+            check(j, cfg.chip)
         except (TypingError, _GenFail):
             continue
-        if len(judgement.ctx) == 1 and judgement.ctx[0].grade == 0:
-            j = Judgement(judgement.ctx, term, judgement.type)  # checked afresh, as above
-            check(j, cfg.chip)
-            return j
+        return j
     return None
 
 
@@ -670,8 +662,8 @@ def enumerate_well_typed(
 ):
     """All well-typed terms up to ``max_size`` over exactly-used variables.
 
-    Yields (term, OffsetReport) pairs; binder names are canonical so no two
-    yields are alpha-equivalent.
+    Yields (term, its inferred judgement) pairs; binder names are canonical
+    so no two yields are alpha-equivalent.
     """
     gate_decls = [chip.find_gate(g) for g in gates]
     if any(d is None for d in gate_decls):
@@ -699,10 +691,9 @@ def enumerate_well_typed(
                 out.append((BoxIntro(d, sub), Box(d, ty)))
         for decl in gate_decls:
             if len(decl.qubits) == 1:
-                want = Qubit(decl.qubits[0])
                 for sub, ty in enum(inner, avail, binders):
-                    if ty == want:
-                        out.append((GateApp(decl.name, (sub,)), want))
+                    if ty == decl.type:
+                        out.append((GateApp(decl.name, (sub,)), decl.type))
 
         # Binary constructors over exact context splits.
         items = sorted(avail)
@@ -726,18 +717,13 @@ def enumerate_well_typed(
                     # Two-qubit gates.
                     for decl in gate_decls:
                         if len(decl.qubits) == 2:
-                            w1, w2 = Qubit(decl.qubits[0]), Qubit(decl.qubits[1])
+                            w1, w2 = decl.arg_types
                             for ls, lty in lefts:
                                 if lty != w1:
                                     continue
                                 for rs, rty in rights_all:
                                     if rty == w2:
-                                        out.append(
-                                            (
-                                                GateApp(decl.name, (ls, rs)),
-                                                tensor_of([w1, w2]),
-                                            )
-                                        )
+                                        out.append((GateApp(decl.name, (ls, rs)), decl.type))
                     # let-pair / let-box with scrutinee on the left split.
                     x, y = f"u{binders}", f"u{binders + 1}"
                     for ls, lty in lefts:
@@ -761,8 +747,7 @@ def enumerate_well_typed(
             for used in itertools.combinations(sig_items, r):
                 for term, _ty in enum(size, frozenset(used), 0):
                     try:
-                        report = synthesize(term, dict(signature), chip)
+                        results.append((term, infer(term, dict(signature), chip)))
                     except TypingError:
                         continue
-                    results.append((term, report))
     return results

@@ -1,7 +1,7 @@
 """Linear type checking with grade arithmetic.
 
 Grades of free variables are synthesised as affine expressions
-``rigid + sum(slack variables)``: every unit-elimination node contributes one
+``constant + sum(slack variables)``: every unit-elimination node contributes one
 slack because its typing rule shifts the scrutinee's context by an arbitrary
 integer.  One pass builds the derivation and collects the grade equations;
 checking a judgement then solves them against the declared grades, and
@@ -28,7 +28,6 @@ from .syntax import (
     LetPair,
     LetStar,
     Pair,
-    Qubit,
     Star,
     Tensor,
     TermExpr,
@@ -38,7 +37,6 @@ from .syntax import (
     binders,
     children,
     free_occurrences,
-    tensor_of,
 )
 
 
@@ -200,34 +198,6 @@ class _Solver:
 # ------------------------------------------------------------- synthesis
 
 
-@dataclass(frozen=True)
-class OffsetReport:
-    """Result of synthesising a bare term.
-
-    ``offsets`` maps each free variable to the affine expression its grade
-    must satisfy; ``rigid`` is the constant part of that expression and
-    ``slack_scopes`` lists, per slack variable, the free variables whose
-    grade it shifts (empty for a slack over a closed scrutinee).
-    """
-
-    result_type: TypeExpr
-    offsets: dict[str, Affine]
-    slack_ids: tuple[int, ...]
-
-    @property
-    def rigid(self) -> dict[str, int]:
-        return {name: a.const for name, a in self.offsets.items()}
-
-    @property
-    def slack_scopes(self) -> dict[int, frozenset[str]]:
-        scopes: dict[int, set[str]] = {sid: set() for sid in self.slack_ids}
-        for name, a in self.offsets.items():
-            for sid, c in a.coeffs:
-                if c != 0:
-                    scopes.setdefault(sid, set()).add(name)
-        return {sid: frozenset(vs) for sid, vs in scopes.items()}
-
-
 _ZERO = Affine(0)
 
 
@@ -237,16 +207,6 @@ class _Synth:
         self.solver = _Solver()
         self.slacks: list[int] = []
         self.unsettled: list[Derivation] = []  # lets whose params still hold an Affine
-        self.gates: dict[str, tuple] = {}  # name -> gate(name, ...)
-
-    def gate(self, name: str, loc: TermExpr) -> tuple:
-        """A gate's declaration, argument types, result type and params, built once."""
-        decl = self.chip.find_gate(name)
-        if decl is None:
-            raise TypingError(ErrorKind.UNKNOWN_GATE, f"gate {name!r} is not declared", location=loc)
-        args = tuple(Qubit(q) for q in decl.qubits)
-        self.gates[name] = entry = (decl, args, tensor_of(args), (decl.duration,))
-        return entry
 
     def merge(self, a: dict[str, Affine], b: dict[str, Affine], loc: TermExpr) -> dict[str, Affine]:
         """Union of two offset maps, made by moving the smaller into the larger."""
@@ -291,8 +251,12 @@ class _Synth:
             else:
                 extra = None
                 if cls is GateApp:
-                    extra = self.gates.get(t.gate) or self.gate(t.gate, t)
-                    arity = len(extra[1])
+                    extra = self.chip.find_gate(t.gate)
+                    if extra is None:
+                        raise TypingError(
+                            ErrorKind.UNKNOWN_GATE, f"gate {t.gate!r} is not declared", location=t
+                        )
+                    arity = len(extra.qubits)
                     if len(t.args) != arity:
                         raise TypingError(
                             ErrorKind.GATE_MISMATCH,
@@ -361,8 +325,8 @@ class _Synth:
         """The derivation and offsets of ``t`` from its children's."""
         cls = type(t)
         if cls is GateApp:
-            decl, args, ty, params = extra
-            for d, q, arg in zip(ds, decl.qubits, args):
+            decl = extra
+            for d, q, arg in zip(ds, decl.qubits, decl.arg_types):
                 if d.type != arg:
                     raise TypingError(
                         ErrorKind.GATE_MISMATCH,
@@ -376,7 +340,7 @@ class _Synth:
             for o in offs[1:]:
                 offsets = self.merge(offsets, o, t)
             offsets = {name: a.shift(-decl.duration) for name, a in offsets.items()}
-            return Derivation(t, ty, "gate", params, tuple(ds)), offsets
+            return Derivation(t, decl.type, "gate", (decl.duration,), tuple(ds)), offsets
 
         if cls is Pair:
             dl, dr = ds
@@ -457,13 +421,6 @@ def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple:
     synth = _Synth(chip)
     derivation, offsets = synth.visit(term, dict(env))
     return derivation, offsets, synth
-
-
-def synthesize(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> OffsetReport:
-    """Infer the type and per-variable grade offsets of a bare term."""
-    derivation, offsets, synth = _synth(term, env, chip)
-    offsets = {name: synth.solver.resolve(a) for name, a in offsets.items()}
-    return OffsetReport(derivation.type, offsets, tuple(synth.slacks))
 
 
 # ------------------------------------------------------------ derivations
@@ -594,35 +551,15 @@ def check(j: Judgement, chip: ChipSpec) -> Derivation:
     return derivation
 
 
-def infer(
-    term: TermExpr,
-    env: dict[str, TypeExpr],
-    chip: ChipSpec,
-    slack_values: dict[int, int] | None = None,
-    pin_grades: dict[str, int] | None = None,
-) -> tuple[Judgement, Derivation, OffsetReport]:
+def infer(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> Judgement:
     """Infer a judgement for a bare term.
 
-    Free slack variables default to 0 (pass ``slack_values`` to choose a
-    different derivable instance); that instance is a reporting convention,
-    not the only derivable context.  ``pin_grades`` forces chosen variables
-    to specific grades, failing if the term cannot support them.  The
-    judgement keeps ``derivation`` as its evidence for ``chip`` (see ``check``).
+    Free slack variables are reported at 0: that instance is a reporting
+    convention, not the only derivable context.  The judgement keeps its
+    derivation as evidence for ``chip`` (see ``check``).
     """
-    derivation, offsets, synth = _synth(term, env, chip)
-    for name, grade in (pin_grades or {}).items():
-        if name not in offsets:
-            raise TypingError(
-                ErrorKind.UNBOUND_VARIABLE, f"cannot pin absent variable {name!r}"
-            )
-        if not synth.solver.equate(Affine.of(grade), offsets[name]):
-            raise TypingError(
-                ErrorKind.GRADE_MISMATCH,
-                f"variable {name!r} cannot be used at grade {grade}",
-            )
-    synth.settle(dict(slack_values or {}))
-    offsets = {name: synth.solver.resolve(a) for name, a in offsets.items()}
-    report = OffsetReport(derivation.type, offsets, tuple(synth.slacks))
+    derivation, _, synth = _synth(term, env, chip)
+    synth.settle({})
     judgement = Judgement(derivation.ctx, term, derivation.type)
     judgement.__dict__["_evidence"] = (chip, derivation)
-    return judgement, derivation, report
+    return judgement

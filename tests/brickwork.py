@@ -77,7 +77,7 @@ def brickwork_judgement(
         term = Pair(wire, term)
     for a, b, gate in reversed(lets):
         term = LetPair(a, b, gate, term)
-    return infer(term, {f"x{i}": Qubit(f"q{i}") for i in range(n)}, chip)[0]
+    return infer(term, {f"x{i}": Qubit(f"q{i}") for i in range(n)}, chip)
 
 
 def _lets(n: int, a: str, b: str) -> str:
@@ -113,4 +113,4 @@ def chain_judgement(text: str, chip: ChipSpec) -> Judgement:
     """The judgement ``infer`` gives ``text`` on chip0."""
     q1, q2 = Qubit("q1"), Qubit("q2")
     env = {"a0": q1, "b0": q2, "p": Tensor(Tensor(q1, q2), Tensor(q1, q2)), "w": Tensor(q2, q2)}
-    return infer(parse_term(text), env, chip)[0]
+    return infer(parse_term(text), env, chip)

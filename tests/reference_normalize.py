@@ -62,7 +62,7 @@ from pstt.syntax import (
     rebuild,
     subst_parallel,
 )
-from pstt.typecheck import TypingError, synthesize
+from pstt.typecheck import TypingError, infer
 
 
 def positions(t):
@@ -142,7 +142,7 @@ def expand_unit_var(t, env, chip):
         node, env, up, is_body = stack.pop()
         if is_body:  # node is the let; bind its binders, then visit its body
             try:
-                sty = synthesize(node.scrutinee, env, chip).result_type
+                sty = infer(node.scrutinee, env, chip).type
             except TypingError:
                 sty = None
             if type(node) is LetPair and isinstance(sty, Tensor):

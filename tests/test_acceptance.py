@@ -241,12 +241,9 @@ def test_c08_equality_engine_vs_oracle(chip0):
     from collections import defaultdict
 
     groups = defaultdict(list)
-    for t, rep in terms:
-        key = (
-            tuple(sorted((v, a.const) for v, a in rep.offsets.items())),
-            repr(rep.result_type),
-        )
-        groups[key].append((t, rep))
+    for t, j in terms:
+        key = (tuple(sorted((e.name, e.grade) for e in j.ctx)), repr(j.type))
+        groups[key].append((t, j))
 
     total_pairs = unknown_with_proof = contradictions = 0
     equal_pairs_sample = []
@@ -256,7 +253,7 @@ def test_c08_equality_engine_vs_oracle(chip0):
         if len(members) < 2:
             continue
         ctx = tuple(CtxEntry(v, g, types[v]) for v, g in key[0])
-        ty = members[0][1].result_type
+        ty = members[0][1].type
         nf_of = {}
         nf_terms = {}
         for t, rep in members:

@@ -35,7 +35,8 @@ from pstt import (
     typecheck,
     validate,
 )
-from pstt.testkit import GenConfig, gen_judgement
+from pstt import testkit
+from pstt.testkit import GenConfig, gen_judgement, gen_single_var_judgement
 from test_rewrite_once import equiv_pairs
 from test_strict_fast_path import layer_chip, layer_judgement
 from test_traversal import chain_source
@@ -50,7 +51,7 @@ def fresh(j: Judgement) -> Judgement:
 
 @pytest.fixture
 def synth_calls(monkeypatch):
-    """The number of times ``check`` has synthesised a derivation so far."""
+    """The number of derivations synthesised so far, by the checker or the test kit."""
     calls = []
     synth = typecheck._synth
 
@@ -59,6 +60,7 @@ def synth_calls(monkeypatch):
         return synth(*args)
 
     monkeypatch.setattr(typecheck, "_synth", counting)
+    monkeypatch.setattr(testkit, "_synth", counting)  # imported by name
     return calls
 
 
@@ -189,30 +191,41 @@ def test_compile_checks_once_on_a_long_chain(chip0, synth_calls):
 # ------------------------------------------------------------------ infer
 
 
-def infer_once(term, env, chip, synth_calls, slack_values=None, pin_grades=None):
+def infer_once(term, env, chip, synth_calls) -> None:
     """``infer`` → ``check`` → ``emit`` → ``validate`` → ``to_json`` synthesises once."""
     before = len(synth_calls)
-    j, d, _ = infer(term, env, chip, slack_values, pin_grades)
+    j = infer(term, env, chip)
+    d = check(j, chip)
+    assert len(synth_calls) - before == 1
+    s = emit(j, chip)
+    assert validate(s, j).passed
+    text = to_json(s)
+    assert len(synth_calls) - before == 1
     assert check(j, chip) is d
+    assert text == to_json(emit(fresh(j), chip))
+
+
+def settled_once(term, env, chip, rng, synth_calls) -> None:
+    """A judgement read off a derivation settled at chosen slack values, as
+    ``gen_judgement`` makes one, is checked once more and emitted off that check."""
+    d, _, synth = typecheck._synth(term, env, chip)
+    synth.settle({sid: rng.randint(-90, 90) for sid in synth.slacks})
+    j = Judgement(d.ctx, term, d.type)
+    before = len(synth_calls)
+    check(j, chip)
     s = emit(j, chip)
     assert validate(s, j).passed
     text = to_json(s)
     assert len(synth_calls) - before == 1
     assert text == to_json(emit(fresh(j), chip))
-    return j, d
 
 
 def infer_every_way(j: Judgement, chip, rng, synth_calls) -> None:
-    """Plain, with slack values, with every grade pinned and with one pinned."""
+    """Inferred, settled at chosen slack values, and with every grade declared."""
     env = {e.name: e.type for e in j.ctx}
     infer_once(j.term, env, chip, synth_calls)
-    slacks = {sid: rng.randint(-90, 90) for sid in typecheck.synthesize(j.term, env, chip).slack_ids}
-    infer_once(j.term, env, chip, synth_calls, slacks)
-    inferred, _ = infer_once(j.term, env, chip, synth_calls, None, {e.name: e.grade for e in j.ctx})
-    assert set(inferred.ctx) == set(j.ctx)
-    if j.ctx:
-        entry = rng.choice(j.ctx)
-        infer_once(j.term, env, chip, synth_calls, slacks, {entry.name: entry.grade})
+    settled_once(j.term, env, chip, rng, synth_calls)
+    compile_once(j, chip, synth_calls)
 
 
 def test_infer_then_emit_synthesises_once_on_corpus(chip0, corpus, synth_calls):
@@ -235,11 +248,46 @@ def test_infer_then_emit_synthesises_once_on_a_long_chain(chip0, synth_calls):
     infer_once(j.term, {"x": j.ctx[0].type}, chip0, synth_calls)
 
 
+@pytest.fixture
+def gen_attempts(monkeypatch):
+    """The number of generation attempts the test kit has started so far."""
+    attempts = []
+
+    class Counting(testkit._Gen):
+        def __init__(self, *args):
+            attempts.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(testkit, "_Gen", Counting)
+    return attempts
+
+
+@pytest.mark.parametrize(
+    "generate, passes",
+    [(gen_judgement, 2), (gen_single_var_judgement, 1)],
+    ids=["gen_judgement", "gen_single_var_judgement"],
+)
+def test_a_first_try_generation_synthesises_per_judgement(
+    chip0, generate, passes, synth_calls, gen_attempts
+):
+    """``gen_judgement`` reads its judgement off one synthesis and checks it
+    afresh; ``gen_single_var_judgement`` only checks its declared judgement."""
+    first_tries = 0
+    for seed in range(30):
+        before, tries = len(synth_calls), len(gen_attempts)
+        assert generate(GenConfig(chip=chip0, seed=seed, max_depth=5)) is not None
+        if len(gen_attempts) - tries == 1:
+            first_tries += 1
+            assert len(synth_calls) - before == passes
+    assert first_tries >= 10
+
+
 def test_inferred_evidence_is_kept_for_that_chip_only(chip0, chip0_path, corpus, synth_calls):
     other = parse_chip_spec(chip0_path.read_text())
     for decl in corpus.declarations:
         env = {e.name: e.type for e in decl.ctx}
-        j, d, _ = infer(decl.term, env, chip0)
+        j = infer(decl.term, env, chip0)
+        d = check(j, chip0)
         before = len(synth_calls)
         e = check(j, other)
         assert len(synth_calls) - before == 1

@@ -87,13 +87,16 @@ def test_infer_flags_slack_convention(tmp_path, chip0_path):
     src.write_text(
         "schedule a (u:^0 1, x:^-20 q1) : q1 = let * = u in H1(x)\n"
         "schedule b (x:^-20 q1) : q1 = H1(x)\n"
+        # The slack is solved (``a`` and ``b`` share a grade), yet a let * is there.
+        "schedule c (p:^0 1 * q1) : q1 = let (a, b) = p in let * = a in b\n"
     )
     code, out, _ = invoke("infer", str(src), "--chip", str(chip0_path))
     assert code == 0
-    a_line, b_line = out.strip().splitlines()
+    a_line, b_line, c_line = out.strip().splitlines()
     assert "convention" in a_line
     assert "convention" not in b_line
     assert "x:^-20 q1" in b_line
+    assert c_line == "c: (p:^0 1 * q1) : q1   # free let-* shifts reported at 0 (convention)"
 
 
 def test_normalize_output(tmp_path, chip0_path):

@@ -18,7 +18,6 @@ from pstt import (
     check,
     emit,
     from_json,
-    infer,
     parse,
     to_json,
 )
@@ -112,9 +111,11 @@ def test_contexts_match_the_per_rule_construction(chip0):
                 binding += any(d.rule in ("pair-elim", "box-elim") for d in nodes(evidence))
                 env = {e.name: e.type for e in j.ctx}
                 slacks = {sid: rng.randint(-50, 50) for sid in range(1, 30)}
-                inferred, evidence, _ = infer(j.term, env, chip0, slacks)
+                # Settled at chosen slack values, as gen_judgement settles them.
+                evidence, _, synth = typecheck._synth(j.term, env, chip0)
+                synth.settle(slacks)
                 assert_contexts_match(evidence)
-                assert inferred.ctx == reference_contexts(evidence)[id(evidence)]
+                assert evidence.ctx == reference_contexts(evidence)[id(evidence)]
     assert binding  # some contexts drop let-bound names
 
 

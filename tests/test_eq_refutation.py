@@ -113,12 +113,9 @@ def test_same_verdicts_on_enumerated_pairs_with_different_normal_forms(chip0):
     sig = {"a": Qubit("q1"), "c": Unit()}
     terms = enumerate_well_typed(sig, chip0, 7, gates=("H1", "K1"), box_grades=(0, 20))
     groups = defaultdict(list)
-    for t, rep in terms:
-        key = (
-            tuple(sorted((v, a.const) for v, a in rep.offsets.items())),
-            repr(rep.result_type),
-        )
-        groups[key].append((t, rep.result_type))
+    for t, j in terms:
+        key = (tuple(sorted((e.name, e.grade) for e in j.ctx)), repr(j.type))
+        groups[key].append((t, j.type))
     groups = [(key, members) for key, members in sorted(groups.items()) if len(members) > 1]
 
     rng = random.Random(608)

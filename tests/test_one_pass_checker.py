@@ -1,12 +1,13 @@
 """The one-pass checker against the two-pass synthesis it replaced.
 
-``check``, ``infer`` and ``synthesize`` build each ``Derivation`` node as
-they synthesise it, and settle a let's slack-dependent grades once the
-solver is done.  The reference is the replaced code, kept here: synthesis
-built a tree of ``_Node`` records carrying ``Affine`` grades, and
+``check`` and ``infer`` build each ``Derivation`` node as they synthesise
+it, and settle a let's slack-dependent grades once the solver is done;
+``gen_judgement`` settles free slacks at chosen values through the same
+``_synth`` and ``settle``.  The reference is the replaced code, kept here:
+synthesis built a tree of ``_Node`` records carrying ``Affine`` grades, and
 ``_elaborate`` walked it again to copy it into a ``Derivation`` tree.
-Both must give the same derivations node for node, the same offset
-reports, and the same errors.
+Both must give the same derivations node for node, the same offsets and
+slack variables, and the same errors.
 
 The reference also keeps its own copy of the grade arithmetic and the
 solver as they were before ``equate`` and ``resolve`` gained fast paths,
@@ -58,14 +59,12 @@ from pstt.testkit import GenConfig, gen_judgement
 from pstt.typecheck import (
     Derivation,
     ErrorKind,
-    OffsetReport,
     SolverStuck,
     _free_uses,
     premise_shifts,
     _synth as live_synth,
     check,
     infer,
-    synthesize,
 )
 from test_compile_path import under_unit_spine
 from test_strict_fast_path import layer_chip, layer_judgement
@@ -389,13 +388,6 @@ def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple[_N
     return node, synth
 
 
-def ref_synthesize(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> OffsetReport:
-    """Infer the type and per-variable grade offsets of a bare term."""
-    node, synth = _synth(term, env, chip)
-    offsets = {name: synth.solver.resolve(a) for name, a in node.offsets.items()}
-    return OffsetReport(node.type, offsets, tuple(synth.slacks))
-
-
 def _elaborate(root: _Node, solver: RefSolver, assignment: dict[int, int]) -> Derivation:
     """The derivation of a synthesis tree, built bottom-up with an explicit stack."""
 
@@ -482,35 +474,12 @@ def ref_check(j: Judgement, chip: ChipSpec) -> Derivation:
 
 
 def ref_infer(
-    term: TermExpr,
-    env: dict[str, TypeExpr],
-    chip: ChipSpec,
-    slack_values: dict[int, int] | None = None,
-    pin_grades: dict[str, int] | None = None,
-) -> tuple[Judgement, Derivation, OffsetReport]:
-    """Infer a judgement for a bare term.
-
-    Free slack variables default to 0 (pass ``slack_values`` to choose a
-    different derivable instance); that instance is a reporting convention,
-    not the only derivable context.  ``pin_grades`` forces chosen variables
-    to specific grades, failing if the term cannot support them.
-    """
+    term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec
+) -> tuple[Judgement, Derivation]:
+    """Infer a judgement for a bare term, free slack variables at 0."""
     node, synth = _synth(term, env, chip)
-    for name, grade in (pin_grades or {}).items():
-        if name not in node.offsets:
-            raise TypingError(
-                ErrorKind.UNBOUND_VARIABLE, f"cannot pin absent variable {name!r}"
-            )
-        if not synth.solver.equate(RefAffine.of(grade), node.offsets[name]):
-            raise TypingError(
-                ErrorKind.GRADE_MISMATCH,
-                f"variable {name!r} cannot be used at grade {grade}",
-            )
-    assignment = dict(slack_values or {})
-    derivation = _elaborate(node, synth.solver, assignment)
-    offsets = {name: synth.solver.resolve(a) for name, a in node.offsets.items()}
-    report = OffsetReport(node.type, offsets, tuple(synth.slacks))
-    return Judgement(ref_ctx(derivation), term, derivation.type), derivation, report
+    derivation = _elaborate(node, synth.solver, {})
+    return Judgement(ref_ctx(derivation), term, derivation.type), derivation
 
 
 # ------------------------------------------------------------- comparison
@@ -557,49 +526,48 @@ def assert_same_check(j: Judgement, chip: ChipSpec):
     return new
 
 
-def report_key(r: OffsetReport) -> tuple:
-    """An offset report with each grade as ``(const, coeffs)``, whichever class holds it."""
-    offsets = {name: (a.const, a.coeffs) for name, a in r.offsets.items()}
-    return r.result_type, offsets, r.slack_ids, r.rigid, r.slack_scopes
-
-
-def assert_same_infer(term, env, chip, slack_values=None, pin_grades=None):
-    args = (term, env, chip, slack_values, pin_grades)
-    new, ref = outcome(infer, *args), outcome(ref_infer, *args)
+def assert_same_infer(term, env, chip):
+    new, ref = outcome(infer, term, env, chip), outcome(ref_infer, term, env, chip)
     assert is_error(new) == is_error(ref)
     if is_error(ref):
         assert_same_error(new, ref)
         return
-    (jn, dn, rn), (jr, dr, rr) = new, ref
-    assert jn.ctx == jr.ctx and jn.term is jr.term and jn.type == jr.type
-    assert_same_derivation(dn, dr)
-    assert report_key(rn) == report_key(rr)
+    jr, dr = ref
+    assert new.ctx == jr.ctx and new.term is jr.term and new.type == jr.type
+    assert_same_derivation(check(new, chip), dr)
 
 
-def assert_same_synthesize(term, env, chip):
-    new, ref = outcome(synthesize, term, env, chip), outcome(ref_synthesize, term, env, chip)
+def offsets_key(offsets: dict, solver) -> dict:
+    """Each resolved grade as ``(const, coeffs)``, whichever class holds it."""
+    resolved = {name: solver.resolve(a) for name, a in offsets.items()}
+    return {name: (a.const, a.coeffs) for name, a in resolved.items()}
+
+
+def assert_same_settled(term, env, chip, rng: random.Random) -> None:
+    """Synthesis with free slacks settled at random values, as ``gen_judgement``
+    settles them: the same derivation, context, offsets and slack variables."""
+    new, ref = outcome(live_synth, term, env, chip), outcome(_synth, term, env, chip)
     assert is_error(new) == is_error(ref)
     if is_error(ref):
         assert_same_error(new, ref)
-    else:
-        assert report_key(new) == report_key(ref)
-    return ref
+        return
+    (dn, offsets, synth), (node, rsynth) = new, ref
+    assert synth.slacks == rsynth.slacks
+    slacks = {sid: rng.randint(-90, 90) for sid in rsynth.slacks}
+    synth.settle(slacks)
+    dr = _elaborate(node, rsynth.solver, slacks)
+    assert_same_derivation(dn, dr)
+    assert dn.ctx == ref_ctx(dr)
+    assert offsets_key(offsets, synth.solver) == offsets_key(node.offsets, rsynth.solver)
 
 
 def assert_same_everywhere(j: Judgement, chip: ChipSpec, rng: random.Random) -> None:
-    """``check``, ``infer`` (plain, with slack values, with pins) and ``synthesize``."""
+    """``check`` of ``j``, ``infer`` of its term, and its synthesis settled at
+    random slack values."""
     assert_same_check(j, chip)
     env = {e.name: e.type for e in j.ctx}
-    report = assert_same_synthesize(j.term, env, chip)
     assert_same_infer(j.term, env, chip)
-    if not is_error(report):
-        slacks = {sid: rng.randint(-90, 90) for sid in report.slack_ids}
-        assert_same_infer(j.term, env, chip, slacks)
-    pins = {e.name: e.grade for e in j.ctx}
-    assert_same_infer(j.term, env, chip, None, pins)
-    if j.ctx:
-        entry = rng.choice(j.ctx)
-        assert_same_infer(j.term, env, chip, None, {entry.name: entry.grade + 1})
+    assert_same_settled(j.term, env, chip, rng)
 
 
 def generated(chip: ChipSpec, seed: int, per_depth: int):
@@ -775,8 +743,9 @@ def test_the_cross_check_reads_the_grades_of_the_derivation_context(chip0, corpu
     binders_seen = 0
     for j in checked_judgements(chip0, corpus):
         env = {e.name: e.type for e in j.ctx}
-        slacks = {sid: rng.randint(-90, 90) for sid in synthesize(j.term, env, chip0).slack_ids}
-        for d in (check(j, chip0), infer(j.term, env, chip0, slacks)[1]):
+        settled, _, synth = live_synth(j.term, env, chip0)
+        synth.settle({sid: rng.randint(-90, 90) for sid in synth.slacks})
+        for d in (check(j, chip0), settled):
             # Every subtree, so that names its lets bind are free below them.
             for node in iter_derivation(d):
                 assert cross_check_grades(node) == context_grades_by_entries(node)

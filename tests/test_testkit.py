@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 from pstt import Judgement, Qubit, Unit, check, make_context, parse_term, parse_type
+from pstt.surface import print_context, print_judgement, print_term, print_type
 from pstt.syntax import alpha_key, free_occurrences, term_size
 from pstt.testkit import (
     GenConfig,
@@ -129,11 +131,11 @@ def test_enumeration_is_exact_use_and_alpha_distinct(chip0):
     sig = {"a": Qubit("q1"), "c": Unit()}
     out = enumerate_well_typed(sig, chip0, 4, gates=("H1",), box_grades=(0,))
     keys = set()
-    for term, report in out:
-        assert term_size(term) <= 4
+    for term, j in out:
+        assert term_size(term) <= 4 and j.term is term
         occ = free_occurrences(term)
         assert len(occ) == len(set(occ))
-        assert set(report.offsets) == set(occ)
+        assert [e.name for e in j.ctx] == occ
         k = alpha_key(term)
         assert k not in keys
         keys.add(k)
@@ -166,3 +168,32 @@ def test_found_proofs_replay(chip0):
         depth=2,
     )
     assert r2.found and verify_proof(ctx2, Qubit("q1"), chip0, r2)
+
+
+# The digest of ``generator_lines``.  The benchmark's ``equiv`` pool is
+# drawn from ``gen_judgement``, so a silent change to any generator would
+# change that workload.
+GENERATORS = "ea13b1181b46b9dd55c7519a793d788ab7d7bb8e630a73e1e484ad98aeec3cf2"
+
+
+def generator_lines(chip):
+    for distinct in (False, True):
+        for depth in (2, 4, 6, 8):
+            for seed in range(10):
+                cfg = GenConfig(chip=chip, seed=seed, max_depth=depth, distinct_qubits=distinct)
+                yield print_judgement(gen_judgement(cfg))
+    for depth in (3, 5):
+        for seed in range(5001, 5041):
+            j = gen_single_var_judgement(GenConfig(chip=chip, seed=seed, max_depth=depth))
+            yield "none" if j is None else print_judgement(j)
+    sig = {"a": Qubit("q1"), "b": Qubit("q2"), "c": Unit()}
+    for t, j in enumerate_well_typed(sig, chip, 5, gates=("H1", "H2", "CX"), box_grades=(0, 20)):
+        ctx = tuple(sorted(j.ctx, key=lambda e: e.name))
+        yield f"{print_term(t)} | {print_context(ctx)} | {print_type(j.type)}"
+
+
+def test_generators_are_pinned(chip0):
+    h = hashlib.sha256()
+    for line in generator_lines(chip0):
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == GENERATORS

@@ -198,9 +198,9 @@ def golden_lines(chip0):
                 yield str(exc)
 
     sig = {"a": Qubit("q1"), "c": Unit()}
-    for t, rep in enumerate_well_typed(sig, chip0, 7, gates=("H1", "K1"), box_grades=(0, 20)):
-        ctx = tuple(CtxEntry(v, a.const, sig[v]) for v, a in sorted(rep.offsets.items()))
-        nf = normalize(Judgement(ctx, t, rep.result_type), chip0, budget=3000)
+    for t, j in enumerate_well_typed(sig, chip0, 7, gates=("H1", "K1"), box_grades=(0, 20)):
+        ctx = tuple(sorted(j.ctx, key=lambda e: e.name))
+        nf = normalize(Judgement(ctx, t, j.type), chip0, budget=3000)
         yield print_term(nf.term)
         yield alpha_key(nf.term)
 

@@ -1,8 +1,11 @@
+import inspect
 import random
 
 import pytest
 
+import pstt
 from pstt import (
+    CtxEntry,
     ErrorKind,
     Judgement,
     Qubit,
@@ -14,44 +17,54 @@ from pstt import (
     parse_term,
     parse_type,
     shift_context,
-    synthesize,
 )
 from pstt.syntax import free_occurrences
 from pstt.testkit import GenConfig, gen_judgement
 
 
-def test_synthesize_var(chip0):
-    rep = synthesize(parse_term("x"), {"x": Qubit("q1")}, chip0)
-    assert rep.result_type == Qubit("q1")
-    assert rep.rigid == {"x": 0}
-    assert rep.slack_ids == ()
+def test_typing_answers_check_and_infer_only():
+    assert not hasattr(pstt, "synthesize") and not hasattr(pstt, "OffsetReport")
+    assert "synthesize" not in pstt.__all__ and "OffsetReport" not in pstt.__all__
+    assert list(inspect.signature(infer).parameters) == ["term", "env", "chip"]
 
 
-def test_synthesize_gate_offsets(chip0):
-    rep = synthesize(parse_term("H1(x)"), {"x": Qubit("q1")}, chip0)
-    assert rep.result_type == Qubit("q1")
-    assert rep.rigid == {"x": -20}
+def test_infer_var(chip0):
+    j = infer(parse_term("x"), {"x": Qubit("q1")}, chip0)
+    assert j.type == Qubit("q1")
+    assert j.ctx == (CtxEntry("x", 0, Qubit("q1")),)
 
 
-def test_synthesize_duplicate_use(chip0):
+def test_infer_gate_offsets(chip0):
+    j = infer(parse_term("H1(x)"), {"x": Qubit("q1")}, chip0)
+    assert j.type == Qubit("q1")
+    assert {e.name: e.grade for e in j.ctx} == {"x": -20}
+
+
+def test_infer_duplicate_use(chip0):
     with pytest.raises(TypingError) as exc:
-        synthesize(parse_term("(x, x)"), {"x": Qubit("q1")}, chip0)
+        infer(parse_term("(x, x)"), {"x": Qubit("q1")}, chip0)
     assert exc.value.kind is ErrorKind.DUPLICATE_USE
 
 
-def test_synthesize_unbound(chip0):
+def test_infer_unbound(chip0):
     with pytest.raises(TypingError) as exc:
-        synthesize(parse_term("H1(y)"), {}, chip0)
+        infer(parse_term("H1(y)"), {}, chip0)
     assert exc.value.kind is ErrorKind.UNBOUND_VARIABLE
 
 
-def test_synthesize_slack_scopes(chip0):
-    rep = synthesize(
-        parse_term("let * = u in H1(x)"), {"u": Unit(), "x": Qubit("q1")}, chip0
-    )
-    assert rep.rigid == {"u": 0, "x": -20}
-    (sid,) = rep.slack_ids
-    assert rep.slack_scopes[sid] == frozenset({"u"})
+def test_infer_slack_scopes(chip0):
+    # The let-* slack shifts ``u`` only: ``u`` may move, ``x`` may not.
+    j = infer(parse_term("let * = u in H1(x)"), {"u": Unit(), "x": Qubit("q1")}, chip0)
+    assert {e.name: e.grade for e in j.ctx} == {"u": 0, "x": -20}
+    for name, delta, derivable in (("u", 7, True), ("u", -7, True), ("x", 1, False)):
+        ctx = tuple(CtxEntry(e.name, e.grade + delta * (e.name == name), e.type) for e in j.ctx)
+        moved = Judgement(ctx, j.term, j.type)
+        if derivable:
+            check(moved, chip0)
+        else:
+            with pytest.raises(TypingError) as exc:
+                check(moved, chip0)
+            assert exc.value.kind is ErrorKind.GRADE_MISMATCH
 
 
 def test_check_chained_gates(chip0):
@@ -170,22 +183,17 @@ def test_declared_type_mismatch(chip0):
 
 
 def test_infer_slack_zero_convention(chip0):
-    j, _, report = infer(
-        parse_term("let * = u in H1(x)"), {"u": Unit(), "x": Qubit("q1")}, chip0
-    )
+    j = infer(parse_term("let * = u in H1(x)"), {"u": Unit(), "x": Qubit("q1")}, chip0)
     grades = {e.name: e.grade for e in j.ctx}
     assert grades == {"u": 0, "x": -20}
-    assert report.slack_ids
+    d = check(j, chip0)  # the derivation infer kept
+    assert (d.rule, d.params) == ("unit-elim", (0,))  # its slack, reported at 0
 
 
-def test_infer_pin_grades(chip0):
-    j, _, _ = infer(
-        parse_term("let * = u in H1(x)"),
-        {"u": Unit(), "x": Qubit("q1")},
-        chip0,
-        pin_grades={"u": 9},
-    )
-    assert {e.name: e.grade for e in j.ctx} == {"u": 9, "x": -20}
+def test_check_a_pinned_grade(chip0):
+    ctx = make_context([("u", 9, Unit()), ("x", -20, Qubit("q1"))])
+    d = check(Judgement(ctx, parse_term("let * = u in H1(x)"), Qubit("q1")), chip0)
+    assert {e.name: e.grade for e in d.ctx} == {"u": 9, "x": -20}
 
 
 # -------------------------------------------------------------- properties
@@ -239,11 +247,10 @@ def test_letstar_shift_invariance(chip0):
         check(Judgement(moved, j.term, j.type), chip0)
 
 
-def test_check_synthesize_consistency(chip0):
+def test_check_infer_consistency(chip0):
     rng = random.Random(13)
     cfg = GenConfig(chip=chip0, seed=13)
     for _ in range(80):
         j = gen_judgement(cfg, rng=rng)
         check(j, chip0)
-        rep = synthesize(j.term, {e.name: e.type for e in j.ctx}, chip0)
-        assert rep.result_type == j.type
+        assert infer(j.term, {e.name: e.type for e in j.ctx}, chip0).type == j.type
