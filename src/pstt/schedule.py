@@ -107,7 +107,9 @@ def emit(j: Judgement, chip: ChipSpec) -> Schedule:
 
     One walk over the derivation carries the absolute time ``o`` at which
     the current subterm finishes; a gate finishing at ``o`` writes its
-    calibration at ``[o - duration, o)``.  These are the offsets the
+    calibration at ``[o - duration, o)``, where its arguments finish.  Each
+    gate is resolved on the chip once; a gate with no calibration is a
+    delay exactly when that lookup synthesised it.  These are the offsets the
     pulse model's action gives the generic interpreter, which remains the
     reference: ``interpret`` in ``PulseModel`` yields the same channels.
     """
@@ -123,6 +125,7 @@ def emit(j: Judgement, chip: ChipSpec) -> Schedule:
     writes: dict[str, list[tuple[int, int, tuple[int, ...] | None]]] = {q: [] for q in starts}
     provenance: list[tuple[str, str, int, int]] = []
     stack = [(evidence, 0)]
+    delays = chip._delays  # every delay gate that checking resolved
     while stack:
         d, o = stack.pop()
         if d.rule == "gate":
@@ -131,7 +134,7 @@ def emit(j: Judgement, chip: ChipSpec) -> Schedule:
             if decl is None:
                 raise ModelError(f"unknown gate {name!r}")
             cal = chip.calibrations.get(name)
-            if cal is None and chip.delay_of(name) is None:
+            if cal is None and delays.get(name) is not decl:
                 raise MissingCalibration(name)
             lo = o - decl.duration
             for q in decl.qubits:
@@ -139,6 +142,9 @@ def emit(j: Judgement, chip: ChipSpec) -> Schedule:
                     raise ModelError(f"gate {name!r} acts on {q!r}, which has no channel")
                 writes[q].append((lo, o, None if cal is None else cal.samples[q]))
                 provenance.append((name, q, lo, o))
+            for p in d.premises:
+                stack.append((p, lo))
+            continue
         try:
             shifts = premise_shifts(d)
         except ValueError as exc:

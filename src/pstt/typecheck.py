@@ -7,6 +7,12 @@ integer.  One pass builds the derivation and collects the grade equations;
 checking a judgement then solves them against the declared grades, and
 inference reports the slack-zero instance.  Only a let's grades can depend
 on a slack: those lets are given their grades once the solver is done.
+
+Inside the pass a node's offsets are a pair ``(map, base)``: variable ``x``
+is at ``map[x].shift(base)``.  A gate or a box moves every free variable
+by the same amount, so it moves only the base, in O(1); a merge rebases
+only the entries it moves, and a let reads its binders through the base.
+The plain ``dict[str, Affine]`` is materialised once, at the root.
 """
 
 from __future__ import annotations
@@ -75,12 +81,25 @@ class SolverStuck(Exception):
 # ------------------------------------------------------- affine arithmetic
 
 
+# ``object.__setattr__`` bound once.  The frozen dataclasses that synthesis
+# builds in bulk, ``Affine`` and ``Derivation``, write their fields with it
+# in a written-out ``__init__``; the generated one looks it up per field.
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Affine:
-    """Integer-affine expression: ``const + sum(coeff * slack)``."""
+    """Integer-affine expression: ``const + sum(coeff * slack)``.
+
+    Frozen; its ``__init__`` is written out (see ``_set``).
+    """
 
     const: int
     coeffs: tuple[tuple[int, int], ...] = ()  # (slack id, nonzero coeff), sorted
+
+    def __init__(self, const, coeffs=()):
+        _set(self, "const", const)
+        _set(self, "coeffs", coeffs)
 
     @staticmethod
     def of(const: int) -> "Affine":
@@ -208,11 +227,13 @@ class _Synth:
         self.slacks: list[int] = []
         self.unsettled: list[Derivation] = []  # lets whose params still hold an Affine
 
-    def merge(self, a: dict[str, Affine], b: dict[str, Affine], loc: TermExpr) -> dict[str, Affine]:
-        """Union of two offset maps, made by moving the smaller into the larger."""
-        if len(a) > len(b):
-            a, b = b, a
-        if not b.keys().isdisjoint(a):
+    def merge(self, a: tuple, b: tuple, loc: TermExpr) -> tuple:
+        """Union of two ``(map, base)`` offsets, made by moving the smaller map
+        into the larger; the moved entries are rebased onto the larger's base."""
+        (small, small_base), (large, large_base) = a, b
+        if len(small) > len(large):
+            small, small_base, large, large_base = large, large_base, small, small_base
+        if not large.keys().isdisjoint(small):
             # Name the variable whose second use comes first in the term.
             seen: set[str] = set()
             for name in free_occurrences(loc):
@@ -224,8 +245,13 @@ class _Synth:
                 f"variable {name!r} is used more than once",
                 location=loc,
             )
-        b.update(a)
-        return b
+        if small_base == large_base:
+            large.update(small)
+        else:
+            delta = small_base - large_base
+            for name, offset in small.items():
+                large[name] = offset.shift(delta)
+        return large, large_base
 
     def visit(self, t: TermExpr, env: dict[str, TypeExpr]) -> tuple[Derivation, dict[str, Affine]]:
         """Synthesise ``t``'s derivation and its free variables' offsets.
@@ -233,8 +259,11 @@ class _Synth:
         An explicit stack holds the unfinished nodes.  Checks run in term
         order: a gate's name and arity before its arguments, a scrutinee's
         type before the body.  ``env`` gains a let's binders once its
-        scrutinee is typed and loses them when the let is done.  A node's
-        offsets map may be handed on to its parent and grown in place.
+        scrutinee is typed and loses them when the let is done.  Below the
+        root a node's offsets are a pair ``(map, base)``, variable ``x``
+        being at ``map[x].shift(base)``; the map may be handed on to the
+        parent and grown in place.  The root's pair is materialised into a
+        plain map of offsets, the value returned.
         """
         frames: list[list] = []  # [term, kids, their derivations and offsets, gate or shadowed env]
         while True:
@@ -245,9 +274,9 @@ class _Synth:
                     raise TypingError(
                         ErrorKind.UNBOUND_VARIABLE, f"variable {t.name!r} is not in scope", location=t
                     )
-                d, offsets = Derivation(t, ty, "var", (), ()), {t.name: _ZERO}
+                d, offsets = Derivation(t, ty, "var", (), ()), ({t.name: _ZERO}, 0)
             elif cls is Star:
-                d, offsets = Derivation(t, Unit(), "unit-intro", (), ()), {}
+                d, offsets = Derivation(t, Unit(), "unit-intro", (), ()), ({}, 0)
             else:
                 extra = None
                 if cls is GateApp:
@@ -280,6 +309,9 @@ class _Synth:
                 frames.pop()
                 d, offsets = self.finish(parent, done, offs, extra, env)
             else:
+                offsets, base = offsets
+                if base:
+                    offsets = {name: a.shift(base) for name, a in offsets.items()}
                 return d, offsets
 
     def open_scope(self, t: TermExpr, ty: TypeExpr, env: dict[str, TypeExpr]) -> list:
@@ -322,7 +354,7 @@ class _Synth:
         return shadowed
 
     def finish(self, t: TermExpr, ds: list[Derivation], offs: list, extra, env: dict) -> tuple:
-        """The derivation and offsets of ``t`` from its children's."""
+        """The derivation and ``(map, base)`` offsets of ``t`` from its children's."""
         cls = type(t)
         if cls is GateApp:
             decl = extra
@@ -339,8 +371,9 @@ class _Synth:
             offsets = offs[0]
             for o in offs[1:]:
                 offsets = self.merge(offsets, o, t)
-            offsets = {name: a.shift(-decl.duration) for name, a in offsets.items()}
-            return Derivation(t, decl.type, "gate", (decl.duration,), tuple(ds)), offsets
+            m, base = offsets
+            d = Derivation(t, decl.type, "gate", (decl.duration,), tuple(ds))
+            return d, (m, base - decl.duration)
 
         if cls is Pair:
             dl, dr = ds
@@ -349,11 +382,12 @@ class _Synth:
 
         if cls is BoxIntro:
             (db,) = ds
-            offsets = {n: a.shift(t.grade) for n, a in offs[0].items()}
-            return Derivation(t, Box(t.grade, db.type), "box-intro", (t.grade,), (db,)), offsets
+            m, base = offs[0]
+            d = Derivation(t, Box(t.grade, db.type), "box-intro", (t.grade,), (db,))
+            return d, (m, base + t.grade)
 
         dsc, db = ds
-        osc, ob = offs
+        (osc, osc_base), (ob, ob_base) = offs
         for x, old in extra:
             if old is None:
                 del env[x]
@@ -365,7 +399,7 @@ class _Synth:
             self.slacks.append(sid)
             slack = Affine.slack(sid)
             shifted = {name: a.add(slack) for name, a in osc.items()}
-            offsets = self.merge(shifted, ob, t)
+            offsets = self.merge((shifted, osc_base), offs[1], t)
             return self.let(t, db.type, "unit-elim", (slack,), (dsc, db)), offsets
 
         names = binders(t)
@@ -378,7 +412,7 @@ class _Synth:
                 )
         if cls is LetPair:
             x, y = names
-            ex, ey = ob.pop(x), ob.pop(y)
+            ex, ey = ob.pop(x).shift(ob_base), ob.pop(y).shift(ob_base)
             if not self.solver.equate(ex, ey):
                 raise TypingError(
                     ErrorKind.GRADE_MISMATCH,
@@ -389,12 +423,13 @@ class _Synth:
                 )
             e = self.solver.resolve(ex)
             shifted = {n: a.add(e) for n, a in osc.items()}
-            offsets = self.merge(shifted, ob, t)
+            offsets = self.merge((shifted, osc_base), offs[1], t)
             return self.let(t, db.type, "pair-elim", (e,), (dsc, db)), offsets
 
-        e = self.solver.resolve(ob.pop(t.x))
-        shifted = {n: a.add(e.shift(-t.grade)) for n, a in osc.items()}
-        offsets = self.merge(shifted, ob, t)
+        e = self.solver.resolve(ob.pop(t.x).shift(ob_base))
+        by = e.shift(-t.grade)
+        shifted = {n: a.add(by) for n, a in osc.items()}
+        offsets = self.merge((shifted, osc_base), offs[1], t)
         return self.let(t, db.type, "box-elim", (t.grade, e), (dsc, db)), offsets
 
     def let(self, t: TermExpr, ty: TypeExpr, rule: str, params: tuple, premises: tuple):
@@ -413,7 +448,7 @@ class _Synth:
         resolve = self.solver.resolve
         for d in self.unsettled:
             params = tuple(p if type(p) is int else resolve(p).eval(assignment) for p in d.params)
-            object.__setattr__(d, "params", params)
+            _set(d, "params", params)
 
 
 def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple:
@@ -426,6 +461,7 @@ def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple:
 # ------------------------------------------------------------ derivations
 
 
+
 @dataclass(frozen=True)
 class Derivation:
     """Checked derivation node: term, type, rule and solved grades.
@@ -436,6 +472,14 @@ class Derivation:
     from these when read.  Synthesis builds the whole tree in one pass;
     a let's grades, which may depend on slacks, are settled once the grade
     equations are solved, before ``check`` or ``infer`` returns.
+
+    ``__init__`` is written out because synthesis builds one node per
+    subterm: it calls ``object.__setattr__`` bound once (``_set``), where
+    the generated frozen ``__init__`` looks it up again for every field.
+    It does not write into ``self.__dict__``: that would give each node a
+    dict of its own, a second object for the collector to track.
+    Instances stay frozen: assigning a field raises ``FrozenInstanceError``,
+    and ``settle`` writes a let's params with ``_set``.
     """
 
     term: TermExpr
@@ -443,6 +487,13 @@ class Derivation:
     rule: str
     params: tuple[int, ...]
     premises: tuple["Derivation", ...]
+
+    def __init__(self, term, type, rule, params, premises):
+        _set(self, "term", term)
+        _set(self, "type", type)
+        _set(self, "rule", rule)
+        _set(self, "params", params)
+        _set(self, "premises", premises)
 
     @property
     def ctx(self) -> Context:

@@ -18,7 +18,7 @@ read grades from a walk that builds no entries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from math import gcd
 
 import pytest
@@ -792,3 +792,138 @@ def test_a_param_off_by_one_trips_the_context_assertion(chip0, corpus, monkeypat
                 check(Judgement(j.ctx, j.term, j.type), chip0)
         tripped += 1
     assert tripped >= 100
+
+
+# --------------------------------------------------- lazily shifted offsets
+
+# Inside synthesis a gate or box moves only its offset map's base, and a
+# merge rebases the entries it moves.  Each judgement below merges maps that
+# sit at different bases, or reads a let's binders through a moved base; it
+# is paired with the start of the error it must raise, or None.
+
+DEEP_4 = """schedule deep4 (x:^-781 q1, y:^-781 q2) : [-21] (q1 * q2) = box[-21] (
+  let (a0, b0) = CX(
+    delay[q1,20](H1(delay[q1,40](K1(x)))),
+    let box[41] r0 = box[41] H2(delay[q2,7](y)) in delay[q2,45](H2(r0))) in
+  let (a1, b1) = CX(
+    let box[-25] r1 = box[-25] K1(delay[q1,15](a0)) in H1(delay[q1,45](r1)),
+    H2(delay[q2,52](H2(b0)))) in
+  let (a2, b2) = CX(
+    K1(K1(delay[q1,60](a1))),
+    let box[7] r2 = box[7] delay[q2,76](b1) in H2(r2)) in
+  (let box[-60] r3 = box[-60] H1(a2) in delay[q1,80](r3),
+   H2(H2(delay[q2,14](H2(delay[q2,14](b2)))))))
+"""
+
+REBASED = {
+    "CX over chains of unequal duration": (
+        "schedule s (x:^-160 q1, y:^-144 q2) : q1 * q2 = CX(H1(K1(x)), H2(y))",
+        None,
+    ),
+    "CX whose larger map is the longer chain": (
+        "schedule s (u:^3 1, x:^-153 q1, y:^-144 q2) : q1 * q2"
+        " = CX(H1(delay[q1,13](let * = u in x)), H2(y))",
+        None,
+    ),
+    "CX whose larger map is the shorter chain": (
+        "schedule s (x:^-177 q1, u:^-9 1, y:^-144 q2) : q1 * q2"
+        " = CX(K1(delay[q1,17](H1(x))), H2(let * = u in y))",
+        None,
+    ),
+    "box around a pair": (
+        "schedule s (x:^10 q1, y:^-18 q2) : [30] (q1 * q2) = box[30] (H1(x), H2(H2(y)))",
+        None,
+    ),
+    "box around a pair of boxes": (
+        "schedule s (x:^-25 q1, y:^21 q2) : [5] ([-10] q1 * [40] q2)"
+        " = box[5] (box[-10] H1(x), box[40] H2(y))",
+        None,
+    ),
+    "pair let over binders from chains of unequal duration": (
+        "schedule s (x:^-160 q1, y:^-164 q2) : q1 * q2"
+        " = let (a, b) = (H1(x), H2(y)) in CX(H1(a), delay[q2,20](b))",
+        None,
+    ),
+    "pair let whose binders are used at unequal grades": (
+        "schedule s (x:^-160 q1, y:^-164 q2) : q1 * q2"
+        " = let (a, b) = (H1(x), H2(y)) in CX(H1(a), H2(b))",
+        "grade mismatch: pair binders 'a' and 'b' are used at different grades (-140 vs -144)",
+    ),
+    "pair let with a declared grade off by one": (
+        "schedule s (x:^-159 q1, y:^-164 q2) : q1 * q2"
+        " = let (a, b) = (H1(x), H2(y)) in CX(H1(a), delay[q2,20](b))",
+        "grade mismatch: variable 'x' declared at grade -159, term requires -160",
+    ),
+    "box let read through a moved base": (
+        "schedule s (x:^-3 [20] q1, y:^-8 q2) : [40] (q1 * q2)"
+        " = box[40] (let box[20] z = x in H1(delay[q1,3](z)), H2(H2(y)))",
+        None,
+    ),
+    "variable in both arguments of CX under different chains": (
+        "schedule s (u:^0 1, v:^0 1, x:^0 q1, y:^0 q2) : q1 * q2 = CX("
+        "H1(let * = u in let * = v in K1(x)), H2(H2(let * = v in let * = u in y)))",
+        "duplicate use: variable 'v' is used more than once",
+    ),
+    "variable in both sides of a pair under different chains": (
+        "schedule s (u:^0 1, x:^0 q1, y:^0 q2) : q1 * q2"
+        " = (H1(K1(let * = u in x)), H2(let * = u in y))",
+        "duplicate use: variable 'u' is used more than once",
+    ),
+    "deep-shaped program of four segments": (DEEP_4, None),
+}
+
+
+@pytest.mark.parametrize("name", REBASED)
+def test_rebased_merges_match_the_per_gate_rebuild(chip0, name):
+    source, error = REBASED[name]
+    j = parse(source + "\n").declarations[0].judgement
+    rng = random.Random(name)
+    result = assert_same_check(j, chip0)
+    if error is None:
+        assert not is_error(result), result
+    else:
+        assert is_error(result) and result[2].startswith(error), result
+    env = {e.name: e.type for e in j.ctx}
+    assert_same_infer(j.term, env, chip0)
+    assert_same_settled(j.term, env, chip0, rng)
+    for i in range(len(j.ctx)):  # every declared grade off by one, both ways
+        for by in (-1, 1):
+            e = j.ctx[i]
+            ctx = j.ctx[:i] + (CtxEntry(e.name, e.grade + by, e.type),) + j.ctx[i + 1 :]
+            assert_same_check(Judgement(ctx, j.term, j.type), chip0)
+
+
+@pytest.mark.parametrize("n", [2_000, 8_000])
+def test_a_gate_chain_shifts_no_offset_per_gate(chip0, monkeypatch, n):
+    """Each gate moves its map's base: checking an ``n``-gate chain builds
+    a bounded number of ``Affine`` values, whatever ``n`` is."""
+    j = parse(chain_source(n)).declarations[0].judgement
+    calls = {"shift": 0, "add": 0, "__init__": 0}
+    for method in calls:
+        original = getattr(typecheck.Affine, method)
+
+        def counted(*args, original=original, method=method):
+            calls[method] += 1
+            return original(*args)
+
+        monkeypatch.setattr(typecheck.Affine, method, counted)
+    check(j, chip0)
+    assert sum(calls.values()) <= 8, calls
+
+
+def test_derivation_nodes_stay_frozen_dataclasses(chip0):
+    """The written-out ``__init__`` of ``Derivation`` and ``Affine`` keeps
+    what the generated one gave."""
+    d = check(parse(DEEP_4).declarations[0].judgement, chip0)
+    with pytest.raises(FrozenInstanceError):
+        d.rule = "var"
+    copy = replace(d)
+    assert copy == d and hash(copy) == hash(d) and repr(copy) == repr(d)
+    assert repr(d).startswith(f"Derivation(term={d.term!r}, type={d.type!r}, rule='box-intro'")
+    assert vars(d) == {"term": d.term, "type": d.type, "rule": d.rule, "params": d.params, "premises": d.premises}
+    a = typecheck.Affine(-3, ((1, 2),))
+    with pytest.raises(FrozenInstanceError):
+        a.const = 0
+    assert a == typecheck.Affine(-3, ((1, 2),)) and hash(a) == hash(replace(a))
+    assert repr(a) == "Affine(const=-3, coeffs=((1, 2),))"
+    assert typecheck.Affine(5) == typecheck.Affine(5, ()) != typecheck.Affine(5, ((1, 1),))
