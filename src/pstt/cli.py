@@ -114,10 +114,7 @@ def _cmd_normalize(args, out) -> int:
         try:
             nf = normalize(decl.judgement, chip, budget=args.budget)
             print(f"{decl.name}: {print_term(nf.term)}", file=out)
-        except TypingError as exc:
-            failures += 1
-            print(f"{decl.name}: {_error_text(str(exc))}", file=out)
-        except BudgetExceeded as exc:
+        except (TypingError, BudgetExceeded) as exc:
             failures += 1
             print(f"{decl.name}: {_error_text(str(exc))}", file=out)
     return 1 if failures else 0

@@ -352,8 +352,10 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{stem}_{i}"
 
 
-# Frame tags of the rebuilding walks below.
-_VISIT, _BUILD, _THEN, _BODY = range(4)
+# Frame tags of the rebuilding walks below: visit a subterm, build a node
+# from its children's values, or name a let's binders once its scrutinee is
+# done (``freshen_binders`` only).
+_VISIT, _BUILD, _BODY = range(3)
 
 
 def _build(vals: list[TermExpr], node: TermExpr, n: int, names: tuple[str, ...] | None) -> None:
@@ -363,19 +365,26 @@ def _build(vals: list[TermExpr], node: TermExpr, n: int, names: tuple[str, ...] 
 
 
 def subst_parallel(t: TermExpr, mapping: dict[str, TermExpr]) -> TermExpr:
-    """Simultaneous capture-avoiding substitution of free variables."""
+    """Simultaneous capture-avoiding substitution of free variables, in one walk.
+
+    A binder ``x`` that would capture a free name of a value still pending
+    below it is renamed to a fresh ``nx`` by adding ``x ↦ Var(nx)`` to its
+    body's pending map: that is renaming and then substituting at once, as
+    ``x`` is no key of that map and ``nx`` avoids every key.  Each value's
+    free names are found once per call.  Binder names in the result are
+    guaranteed only up to alpha.
+    """
     if not mapping:
         return t
+    # id(v) -> (v, its free names).  Holding v keeps its id from being reused
+    # by a later object, such as a renaming's ``Var``, while the walk goes on.
+    free: dict[int, tuple[TermExpr, set[str]]] = {}
     vals: list[TermExpr] = []
-    stack: list[tuple] = [(_VISIT, t, dict(mapping))]
+    stack: list[tuple] = [(_VISIT, t, mapping)]
     while stack:
         frame = stack.pop()
-        tag = frame[0]
-        if tag == _BUILD:
+        if frame[0] == _BUILD:
             _build(vals, frame[1], frame[2], frame[3])
-            continue
-        if tag == _THEN:  # substitute into the value just computed
-            stack.append((_VISIT, vals.pop(), frame[1]))
             continue
         _, node, sub = frame
         if not sub:
@@ -397,27 +406,19 @@ def subst_parallel(t: TermExpr, mapping: dict[str, TermExpr]) -> TermExpr:
         body_sub = {k: v for k, v in sub.items() if k not in names}
         danger: set[str] = set()
         for v in body_sub.values():
-            danger.update(free_vars(v))
+            hit = free.get(id(v))
+            if hit is None:
+                hit = free[id(v)] = (v, set(free_occurrences(v)))
+            danger |= hit[1]
         new = names
         if not danger.isdisjoint(names):
-            # A fresh binder must not collide with pending substitution
-            # keys either, or the later pass would rewrite it.
-            taken = danger | set(body_sub) | set(free_vars(b)) | set(names)
-            renamed = []
+            taken = danger | set(body_sub) | set(free_occurrences(b)) | set(names)
             for x in names:
                 if x in danger:
-                    x = fresh_name(x, taken)
-                    taken.add(x)
-                renamed.append(x)
-            new = tuple(renamed)
-        stack.append((_BUILD, node, 2, new))
-        if new != names:
-            stack.append((_THEN, body_sub))
-            ren: dict[str, TermExpr] = {x: Var(nx) for x, nx in zip(names, new) if nx != x}
-            stack.append((_VISIT, b, ren))
-        else:
-            stack.append((_VISIT, b, body_sub))
-        stack.append((_VISIT, s, sub))
+                    taken.add(nx := fresh_name(x, taken))
+                    body_sub[x] = Var(nx)
+            new = tuple(body_sub[x].name if x in body_sub else x for x in names)
+        stack += ((_BUILD, node, 2, new), (_VISIT, b, body_sub), (_VISIT, s, sub))
     return vals[0]
 
 

@@ -12,7 +12,7 @@ Inside the pass a node's offsets are a pair ``(map, base)``: variable ``x``
 is at ``map[x].shift(base)``.  A gate or a box moves every free variable
 by the same amount, so it moves only the base, in O(1); a merge rebases
 only the entries it moves, and a let reads its binders through the base.
-The plain ``dict[str, Affine]`` is materialised once, at the root.
+The root's pair is returned as it is: ``check`` reads it through its base.
 """
 
 from __future__ import annotations
@@ -253,17 +253,16 @@ class _Synth:
                 large[name] = offset.shift(delta)
         return large, large_base
 
-    def visit(self, t: TermExpr, env: dict[str, TypeExpr]) -> tuple[Derivation, dict[str, Affine]]:
-        """Synthesise ``t``'s derivation and its free variables' offsets.
+    def visit(self, t: TermExpr, env: dict[str, TypeExpr]) -> tuple[Derivation, tuple]:
+        """Synthesise ``t``'s derivation and its free variables' ``(map, base)`` offsets.
 
         An explicit stack holds the unfinished nodes.  Checks run in term
         order: a gate's name and arity before its arguments, a scrutinee's
         type before the body.  ``env`` gains a let's binders once its
-        scrutinee is typed and loses them when the let is done.  Below the
-        root a node's offsets are a pair ``(map, base)``, variable ``x``
-        being at ``map[x].shift(base)``; the map may be handed on to the
-        parent and grown in place.  The root's pair is materialised into a
-        plain map of offsets, the value returned.
+        scrutinee is typed and loses them when the let is done.  A node's
+        offsets are a pair ``(map, base)``, variable ``x`` being at
+        ``map[x].shift(base)``; the map may be handed on to the parent and
+        grown in place.
         """
         frames: list[list] = []  # [term, kids, their derivations and offsets, gate or shadowed env]
         while True:
@@ -309,9 +308,6 @@ class _Synth:
                 frames.pop()
                 d, offsets = self.finish(parent, done, offs, extra, env)
             else:
-                offsets, base = offsets
-                if base:
-                    offsets = {name: a.shift(base) for name, a in offsets.items()}
                 return d, offsets
 
     def open_scope(self, t: TermExpr, ty: TypeExpr, env: dict[str, TypeExpr]) -> list:
@@ -452,7 +448,8 @@ class _Synth:
 
 
 def _synth(term: TermExpr, env: dict[str, TypeExpr], chip: ChipSpec) -> tuple:
-    """``term``'s derivation with its lets unsettled, its offsets, and the synthesiser."""
+    """``term``'s derivation with its lets unsettled, its ``(map, base)`` offsets,
+    and the synthesiser."""
     synth = _Synth(chip)
     derivation, offsets = synth.visit(term, dict(env))
     return derivation, offsets, synth
@@ -566,7 +563,7 @@ def check(j: Judgement, chip: ChipSpec) -> Derivation:
     env = {e.name: e.type for e in j.ctx}
     if len(env) != len(j.ctx):
         raise TypingError(ErrorKind.DUPLICATE_USE, "context repeats a variable name")
-    derivation, offsets, synth = _synth(j.term, env, chip)
+    derivation, (offsets, base), synth = _synth(j.term, env, chip)
 
     if derivation.type != j.type:
         raise TypingError(
@@ -584,8 +581,8 @@ def check(j: Judgement, chip: ChipSpec) -> Derivation:
             )
     for entry in j.ctx:
         offset = offsets[entry.name]
-        if not synth.solver.equate(Affine.of(entry.grade), offset):
-            required = synth.solver.resolve(offset)
+        if not synth.solver.equate(Affine.of(entry.grade - base), offset):
+            required = synth.solver.resolve(offset).shift(base)
             raise TypingError(
                 ErrorKind.GRADE_MISMATCH,
                 f"variable {entry.name!r} declared at grade {entry.grade},"

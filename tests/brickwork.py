@@ -12,6 +12,10 @@
   channel.  The judgement comes from ``infer``.
 * ``cx_chain_term(n)``: ``let (a1, b1) = CX(a0, b0) in …`` on chip0, where
   every let uses both binders of the one before.
+* ``pair_beta_judgement(chip, n)``: the ``n``-layer pair-beta chain
+  ``let (a1, b1) = (H1(a0), delay[q2,20](b0)) in … (an, bn)`` on chip0,
+  each layer one ``beta-pair`` redex, and its let-free twin
+  ``(H1(…H1(a0)), delay[q2,20](…(b0)))``, both from ``infer``.
 * ``twin_chains_term(n)``: two such chains, one on each half of a pair of
   registers, whose keys agree down to the chains' first lets, so that
   comparing the keys of their last lets descends through both chains.
@@ -78,6 +82,19 @@ def brickwork_judgement(
     for a, b, gate in reversed(lets):
         term = LetPair(a, b, gate, term)
     return infer(term, {f"x{i}": Qubit(f"q{i}") for i in range(n)}, chip)
+
+
+def pair_beta_judgement(chip: ChipSpec, n: int) -> tuple[Judgement, Judgement]:
+    """The ``n``-layer pair-beta chain on chip0 and its let-free twin."""
+    a, b = Var("a0"), Var("b0")
+    term = Pair(Var(f"a{n}"), Var(f"b{n}"))
+    for k in range(n, 0, -1):
+        step = Pair(GateApp("H1", (Var(f"a{k - 1}"),)), GateApp("delay[q2,20]", (Var(f"b{k - 1}"),)))
+        term = LetPair(f"a{k}", f"b{k}", step, term)
+    for _ in range(n):
+        a, b = GateApp("H1", (a,)), GateApp("delay[q2,20]", (b,))
+    env = {"a0": Qubit("q1"), "b0": Qubit("q2")}
+    return infer(term, env, chip), infer(Pair(a, b), env, chip)
 
 
 def _lets(n: int, a: str, b: str) -> str:

@@ -6,9 +6,13 @@ Kept as the reference for ``pstt.syntax``:
   side, and stops at the first mismatch;
 * ``alpha_key`` prints a term in its own walk, with its own binder levels;
 * ``types_equal`` walks two types side by side, while hashing used a
-  token list.
+  token list;
+* ``subst_parallel`` renames a capturing binder in one walk of the body and
+  substitutes into the renamed body in a second, and finds every pending
+  value's free names again at every binder it passes.
 
-The package now decides each of these with one token walk per term or type.
+The package now decides each of the first three with one token walk per
+term or type, and substitutes in one walk that reads each value once.
 """
 
 from pstt.syntax import (
@@ -28,6 +32,9 @@ from pstt.syntax import (
     Var,
     binders,
     children,
+    free_vars,
+    fresh_name,
+    rebuild,
 )
 
 
@@ -163,3 +170,71 @@ def alpha_key(t: TermExpr) -> str:
                     stack += (kids[i], " ")
                 stack.append(kids[0])
     return "".join(out)
+
+
+_VISIT, _BUILD, _THEN = range(3)
+
+
+def subst_parallel(t: TermExpr, mapping: dict[str, TermExpr]) -> TermExpr:
+    """Simultaneous capture-avoiding substitution: rename, then substitute.
+
+    Looks up ``fresh_name`` in this module's globals once per renamed binder.
+    """
+    if not mapping:
+        return t
+    vals: list[TermExpr] = []
+    stack: list[tuple] = [(_VISIT, t, dict(mapping))]
+    while stack:
+        frame = stack.pop()
+        tag = frame[0]
+        if tag == _BUILD:
+            _, node, n, names = frame
+            kids = vals[-n:]
+            del vals[-n:]
+            vals.append(rebuild(node, kids, names))
+            continue
+        if tag == _THEN:  # substitute into the value just computed
+            stack.append((_VISIT, vals.pop(), frame[1]))
+            continue
+        _, node, sub = frame
+        if not sub:
+            vals.append(node)
+            continue
+        if type(node) is Var:
+            vals.append(sub.get(node.name, node))
+            continue
+        kids = children(node)
+        names = binders(node)
+        if not names:
+            if kids:
+                stack.append((_BUILD, node, len(kids), None))
+                stack.extend((_VISIT, k, sub) for k in reversed(kids))
+            else:
+                vals.append(node)
+            continue
+        s, b = kids
+        body_sub = {k: v for k, v in sub.items() if k not in names}
+        danger: set[str] = set()
+        for v in body_sub.values():
+            danger.update(free_vars(v))
+        new = names
+        if not danger.isdisjoint(names):
+            # A fresh binder must not collide with pending substitution
+            # keys either, or the later pass would rewrite it.
+            taken = danger | set(body_sub) | set(free_vars(b)) | set(names)
+            renamed = []
+            for x in names:
+                if x in danger:
+                    x = fresh_name(x, taken)
+                    taken.add(x)
+                renamed.append(x)
+            new = tuple(renamed)
+        stack.append((_BUILD, node, 2, new))
+        if new != names:
+            stack.append((_THEN, body_sub))
+            ren: dict[str, TermExpr] = {x: Var(nx) for x, nx in zip(names, new) if nx != x}
+            stack.append((_VISIT, b, ren))
+        else:
+            stack.append((_VISIT, b, body_sub))
+        stack.append((_VISIT, s, sub))
+    return vals[0]

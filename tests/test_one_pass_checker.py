@@ -551,13 +551,14 @@ def assert_same_settled(term, env, chip, rng: random.Random) -> None:
     if is_error(ref):
         assert_same_error(new, ref)
         return
-    (dn, offsets, synth), (node, rsynth) = new, ref
+    (dn, (m, base), synth), (node, rsynth) = new, ref
     assert synth.slacks == rsynth.slacks
     slacks = {sid: rng.randint(-90, 90) for sid in rsynth.slacks}
     synth.settle(slacks)
     dr = _elaborate(node, rsynth.solver, slacks)
     assert_same_derivation(dn, dr)
     assert dn.ctx == ref_ctx(dr)
+    offsets = {name: a.shift(base) for name, a in m.items()}
     assert offsets_key(offsets, synth.solver) == offsets_key(node.offsets, rsynth.solver)
 
 

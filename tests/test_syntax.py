@@ -112,10 +112,10 @@ names = st.sampled_from(["x", "y", "z", "u", "v"])
 
 
 @st.composite
-def terms(draw, depth=3):
+def terms(draw, depth=3, names=names):
     if depth == 0:
         return draw(st.one_of(st.builds(Var, names), st.just(Star())))
-    sub = terms(depth=depth - 1)
+    sub = terms(depth=depth - 1, names=names)
     options = [
         st.builds(Var, names),
         st.just(Star()),
