@@ -29,7 +29,7 @@ from typing import Callable, Container, Iterator
 
 from . import schedule, typecheck
 from .chip import ChipSpec
-from .surface import print_term
+from .surface import term_parts
 from .syntax import (
     BoxIntro,
     Context,
@@ -48,7 +48,7 @@ from .syntax import (
     alpha_eq,
     binders,
     children,
-    free_vars,
+    free_vars,  # unused: bench/tracer.py counts calls to it through this module
     freshen_binders,
     plug,
     rebuild,
@@ -143,34 +143,21 @@ def _eta(t: TermExpr) -> tuple[str, TermExpr] | None:
     return None
 
 
-def _lift(inner: TermExpr, outer: TermExpr, i: int, pos: str) -> tuple[str, TermExpr]:
-    """Hoist the let ``inner``, child ``i`` of ``outer``, above ``outer``.
+def _lift(outer: TermExpr, i: int) -> tuple[str, TermExpr]:
+    """Hoist the let that is child ``i`` of ``outer`` above ``outer``.
 
     ``normalize`` rewrites a checked, freshened term: it is linear and every
-    binder differs from every other name in it, so no sibling of ``inner``
-    uses one of ``inner``'s binders and the hoist captures nothing.
+    binder differs from every other name in it, so no sibling of the let
+    uses one of its binders and the hoist captures nothing.
     """
-    s, b = children(inner)
     kids = list(children(outer))
-    kids[i] = b
+    inner = kids[i]
+    s, kids[i] = children(inner)
+    if type(outer) in _KIND:
+        pos = f"{_KIND[type(outer)]}-scrutinee"
+    else:
+        pos = {GateApp: "gate", BoxIntro: "box", Pair: "pair-right" if i else "pair-left"}[type(outer)]
     return f"hoist-{_KIND[type(inner)]}-from-{pos}", rebuild(inner, (s, rebuild(outer, kids)))
-
-
-def _hoist(t: TermExpr) -> tuple[str, TermExpr] | None:
-    match t:
-        case Pair(inner, _) if type(inner) in _KIND:
-            return _lift(inner, t, 0, "pair-left")
-        case Pair(_, inner) if type(inner) in _KIND:
-            return _lift(inner, t, 1, "pair-right")
-        case GateApp(_, args):
-            for i, a in enumerate(args):
-                if type(a) in _KIND:
-                    return _lift(a, t, i, "gate")
-        case BoxIntro(_, inner) if type(inner) in _KIND:
-            return _lift(inner, t, 0, "box")
-        case LetStar(inner, _) | LetPair(_, _, inner, _) | LetBox(_, _, inner, _) if type(inner) in _KIND:
-            return _lift(inner, t, 0, f"{_KIND[type(t)]}-scrutinee")
-    return None
 
 
 def _spine(t: TermExpr) -> tuple[list[TermExpr], TermExpr]:
@@ -201,30 +188,39 @@ def _spine_keys(lets: list[TermExpr]) -> tuple[list[tuple], list[set[int]]]:
     piece before a reference ends in ``<``, so it is never a proper prefix
     of the piece it meets; and where one printed let-free scrutinee is a
     proper prefix of another, the next character (an identifier character,
-    ``(`` or ``[``) is above ``#``.  Every binder must differ from every
-    other binder and from every name free in a scrutinee at or above it
+    ``(`` or ``[``) is above ``#``.  Each scrutinee is printed once over
+    ``term_parts``, with no scopes, so every binder must differ from every
+    other binder and from every name in a scrutinee at or above it
     (``freshen_binders`` makes it so, and on a checked term no rule copies
     or captures a binder; this raises AssertionError if one did); then any
     order that respects the dependencies rebuilds without capture.
     """
     owner: dict[str, tuple[int, int]] = {}
-    outer: set[str] = set()  # free names of scrutinees that no spine let binds
+    outer: set[str] = set()  # names in scrutinees that no spine let binds
     keys: list[tuple] = []
     deps: list[set[int]] = []
     for i, node in enumerate(lets):
-        scrut = node.scrutinee
-        used = []
-        for b in free_vars(scrut):
-            if b in owner:
-                used.append(b)
+        pieces, used, stack = [], set(), [node.scrutinee]
+        text = [f"box[{node.grade}]:" if type(node) is LetBox else f"{_KIND[type(node)]}:"]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                text.append(item)
+            elif type(item) is not Var:
+                for b in binders(item):  # a let in the scrutinee
+                    if b in owner:
+                        raise AssertionError(f"spine binder {b!r} is not fresh")
+                stack += term_parts(item)
+            elif item.name in owner:
+                j, slot = owner[item.name]
+                pieces += ("".join(text) + "<", keys[j])
+                text = [f"#{slot}>"]
+                used.add(j)
             else:
-                outer.add(b)
-        ren = {b: Var(f"<\0{b}\0#{owner[b][1]}>") for b in used}
-        prefix = f"box[{node.grade}]:" if type(node) is LetBox else f"{_KIND[type(node)]}:"
-        pieces = (prefix + print_term(subst_parallel(scrut, ren) if ren else scrut)).split("\0")
-        pieces[1::2] = [keys[owner[b][0]] for b in pieces[1::2]]
-        keys.append(tuple(pieces))
-        deps.append({owner[b][0] for b in used})
+                text.append(item.name)
+                outer.add(item.name)
+        keys.append((*pieces, "".join(text)))
+        deps.append(used)
         for slot, b in enumerate(binders(node)):
             if b in owner or b in outer:
                 raise AssertionError(f"spine binder {b!r} is not fresh")
@@ -401,8 +397,8 @@ def _find_rewrite(t: TermExpr, units: set[str], recheck: Callable[[TermExpr], bo
 
     One pre-order walk returns at the first beta redex and notes on its way
     the first eta redex, the first variable named in ``units`` that is not
-    already a let-* scrutinee, and the first hoist site, for use when it
-    finds no beta redex.
+    already a let-* scrutinee, and the first hoist site with its let
+    child's index, for use when it finds no beta redex.
     """
     eta = unit = site = None
     stack: list[tuple[TermExpr, Place | None]] = [(t, None)]
@@ -421,9 +417,9 @@ def _find_rewrite(t: TermExpr, units: set[str], recheck: Callable[[TermExpr], bo
             if eta is None and (hit := _eta(node)) is not None:
                 eta = hit, up
             if site is None and type(kids[0]) in _KIND:  # a let hoists from its scrutinee only
-                site = node, up
-        elif site is None and any(type(k) in _KIND for k in kids):
-            site = node, up
+                site = node, 0, up
+        elif site is None:
+            site = next(((node, i, up) for i, k in enumerate(kids) if type(k) in _KIND), None)
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], (node, i, up)))
     if eta is not None:
@@ -436,8 +432,8 @@ def _find_rewrite(t: TermExpr, units: set[str], recheck: Callable[[TermExpr], bo
         var, up = unit
         return RewriteStep("eta-unit", plug(LetStar(var, Star()), up))
     if site is not None:
-        node, up = site
-        rule, new = _hoist(node)
+        node, i, up = site
+        rule, new = _lift(node, i)
         return RewriteStep(rule, plug(new, up))
     return None
 

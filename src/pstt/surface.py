@@ -482,8 +482,9 @@ def print_type(ty: TypeExpr) -> str:
     return "".join(out)
 
 
-def _parts(t: TermExpr) -> tuple | list:
-    """The text of ``t`` as strings and subterms, last first (stack order)."""
+def term_parts(t: TermExpr) -> tuple | list:
+    """The one printing table, read by ``print_term`` and ``equality._spine_keys``:
+    the text of ``t`` as strings and subterms, last first (stack order)."""
     cls = type(t)
     if cls is Star:
         return ("*",)
@@ -522,7 +523,7 @@ def print_term(t: TermExpr) -> str:
         elif cls is Var:
             out.append(item.name)
         else:
-            stack += _parts(item)
+            stack += term_parts(item)
     return "".join(out)
 
 

@@ -343,12 +343,21 @@ def free_vars(t: TermExpr) -> list[str]:
 
 def fresh_name(base: str, avoid: set[str]) -> str:
     """Deterministic fresh name: suffix counter on the original name."""
+    return _fresh_name(base, avoid, {})
+
+
+def _fresh_name(base: str, avoid: set[str], resume: dict[str, int]) -> str:
+    """``fresh_name``, probing each stem from where the last call sharing ``resume`` stopped.
+
+    That skips only taken names while ``avoid`` only grows between the calls.
+    """
     if base not in avoid:
         return base
     stem = base.split("_")[0] or base
-    i = 1
+    i = resume.get(stem, 1)
     while f"{stem}_{i}" in avoid:
         i += 1
+    resume[stem] = i
     return f"{stem}_{i}"
 
 
@@ -523,39 +532,43 @@ def freshen_binders(t: TermExpr, extra_avoid: set[str] | None = None) -> TermExp
 
     Deterministic; a term already satisfying the convention (no binder
     repeats or is free in ``t`` or in ``extra_avoid``) is returned itself,
-    the same object.  Names are taken in the order the binders are reached,
-    a let's after its scrutinee's.
+    the same object.  Otherwise one walk with pending renamings takes names
+    in the order it reaches binders, a let's after its scrutinee's.
     """
     taken = set(free_vars(t)) | (extra_avoid or set())
-    bound = [x for node, _ in positions(t) for x in binders(node)]
+    bound: list[str] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        bound += binders(node)
+        stack += children(node)
     if taken.isdisjoint(bound) and len(set(bound)) == len(bound):
         return t
+    resume: dict[str, int] = {}
     vals: list[TermExpr] = []
-    stack: list[tuple] = [(_VISIT, t)]
+    stack = [(_VISIT, t, {})]
     while stack:
-        frame = stack.pop()
-        tag, node = frame[0], frame[1]
+        tag, node, arg = stack.pop()  # arg: a build's (arity, names), else the pending renamings
         if tag == _BUILD:
-            _build(vals, node, frame[2], frame[3])
+            _build(vals, node, *arg)
         elif tag == _BODY:  # the scrutinee is done: name the binders, then the body
             names = binders(node)
             new = []
             for x in names:
-                nx = fresh_name(x, taken)
-                taken.add(nx)
+                taken.add(nx := _fresh_name(x, taken, resume))
                 new.append(nx)
-            ren: dict[str, TermExpr] = {x: Var(nx) for x, nx in zip(names, new) if nx != x}
-            stack.append((_BUILD, node, 2, tuple(new)))
-            stack.append((_VISIT, subst_parallel(node.body, ren)))
+            sub = {k: v for k, v in arg.items() if k not in names}
+            sub.update((x, Var(nx)) for x, nx in zip(names, new) if nx != x)
+            stack += ((_BUILD, node, (2, tuple(new))), (_VISIT, node.body, sub))
         else:
             kids = children(node)
             if not kids:
-                vals.append(node)
+                vals.append(arg.get(node.name, node) if type(node) is Var else node)
             elif binders(node):
-                stack += ((_BODY, node), (_VISIT, node.scrutinee))
+                stack += ((_BODY, node, arg), (_VISIT, node.scrutinee, arg))
             else:
-                stack.append((_BUILD, node, len(kids), None))
-                stack.extend((_VISIT, k) for k in reversed(kids))
+                stack.append((_BUILD, node, (len(kids), None)))
+                stack.extend((_VISIT, k, arg) for k in reversed(kids))
     return vals[0]
 
 

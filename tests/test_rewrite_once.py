@@ -8,7 +8,10 @@ and trace, and run out of budget at the same place.  Counters then show
 that each ``normalize`` call scans once per step, sorts at most once and
 never after the sort, and that an ``eq`` verdict lists no rules until its
 trace is read.  ``freshen_binders`` returns a term that needs no renaming
-itself, and otherwise what the old rebuilding walk returned.
+itself, and otherwise what the old rebuilding walk returned, save where that
+walk renamed a binder before reaching it; renaming a long shadowed chain
+probes each suffix about once.  Each hoist site rewrites as the frozen
+``hoist`` does.
 """
 
 import random
@@ -18,21 +21,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pstt import (
+    BoxIntro,
     CtxEntry,
     EqKind,
     EqVerdict,
+    GateApp,
     Judgement,
+    LetBox,
+    LetPair,
     LetStar,
+    Pair,
     Unit,
     Var,
+    alpha_eq,
     check,
     judgementally_equal,
     normalize,
     parse,
+    parse_term,
     print_term,
 )
-from pstt import equality
-from pstt.equality import BudgetExceeded, NormalForm, SortPass, _sort_pass
+from pstt import equality, syntax
+from pstt.equality import BudgetExceeded, NormalForm, RewriteStep, SortPass, _sort_pass
 from pstt.syntax import freshen_binders
 from pstt.testkit import GenConfig, gen_judgement
 
@@ -228,6 +238,81 @@ def test_freshen_binders_returns_its_argument_when_nothing_needs_renaming(t, avo
     want = ref.freshen_binders(t, avoid)
     assert fresh == want
     assert (fresh is t) == (want == t)
+
+
+def shadowed_chain(n):
+    """``let (a, b) = CX(a, b) in`` ``n`` times over the free ``a`` and ``b``, ended by ``(a, b)``."""
+    t = Pair(Var("a"), Var("b"))
+    for _ in range(n):
+        t = LetPair("a", "b", GateApp("CX", (Var("a"), Var("b"))), t)
+    return t
+
+
+def test_freshen_binders_renames_a_shadowed_chain_as_the_frozen_walk():
+    for n in (1, 2, 3, 12, 40):
+        assert freshen_binders(shadowed_chain(n)) == ref.freshen_binders(shadowed_chain(n))
+
+
+def test_freshening_a_shadowed_chain_probes_each_suffix_about_once(monkeypatch):
+    # Each name is taken for good, so a stem's probes resume where the last stopped.
+    probes = 0
+
+    class Counted:
+        def __init__(self, names):
+            self.names = names
+
+        def __contains__(self, name):
+            nonlocal probes
+            probes += 1
+            return name in self.names
+
+    fresh_name = syntax._fresh_name
+    monkeypatch.setattr(syntax, "_fresh_name", lambda base, avoid, resume: fresh_name(base, Counted(avoid), resume))
+    fresh = freshen_binders(shadowed_chain(4000))
+    assert probes <= 3 * 8000
+    assert (fresh.x, fresh.y) == ("a_1", "b_1")
+    while type(fresh.body) is LetPair:
+        fresh = fresh.body
+    assert fresh.body == Pair(Var("a_4000"), Var("b_4000"))
+
+
+def test_freshen_binders_takes_names_in_the_order_it_reaches_binders():
+    # The inner ``a_1`` is a name the walk takes for the outer ``a``.  The
+    # frozen walk renamed it while substituting the outer renaming, before
+    # reaching it, and so named the inner binders (a_3, a_2).
+    t = parse_term("let (a, b) = a in let (a_1, a_2) = b in (a_1, a_2)")
+    fresh = freshen_binders(t)
+    assert print_term(fresh) == "let (a_1, b) = a in let (a_2, a_3) = b in (a_2, a_3)"
+    assert alpha_eq(fresh, ref.freshen_binders(t))
+
+
+# ----------------------------------------------------------------- hoists
+
+INNER = {
+    "unit": LetStar(Var("z"), Var("u")),
+    "pair": LetPair("c", "d", Var("p"), Pair(Var("d"), Var("c"))),
+    "box": LetBox(3, "e", Var("r"), Var("e")),
+}
+SITES = {
+    "pair-left": lambda inner: Pair(inner, Var("w")),
+    "pair-right": lambda inner: Pair(Var("w"), inner),
+    "gate": lambda inner: GateApp("CX", (inner, Var("w"))),
+    "gate-1": lambda inner: GateApp("CX", (Var("w"), inner)),
+    "box": lambda inner: BoxIntro(4, inner),
+    "unit-scrutinee": lambda inner: LetStar(inner, Var("w")),
+    "pair-scrutinee": lambda inner: LetPair("a", "b", inner, Pair(Var("b"), Var("a"))),
+    "box-scrutinee": lambda inner: LetBox(5, "f", inner, Var("f")),
+}
+
+
+@pytest.mark.parametrize("kind", INNER)
+@pytest.mark.parametrize("pos", SITES)
+def test_each_hoist_site_rewrites_as_the_frozen_hoist(kind, pos):
+    site = SITES[pos](INNER[kind])
+    found = equality._find_rewrite(site, set(), lambda t: False)
+    rule, result = ref.hoist(site)
+    assert found == RewriteStep(rule, result)
+    assert rule == f"hoist-{kind}-from-{pos.removesuffix('-1')}"
 
 
 # -------------------------------------------------------------- lazy trace

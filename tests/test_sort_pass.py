@@ -12,7 +12,8 @@ alone to the engine's swaps.
 by-reference keys replaced, kept as the reference for the canonical order:
 on every spine the normalizer sorts in this module, both key kinds must
 agree on ``<`` and ``==`` for every pair of keys, and the sort must give
-the order that a greedy scan over the flat keys gives.
+the order that a greedy scan over the flat keys gives, also for names that
+hold any character.  ``_spine_keys`` raises where a binder is not fresh.
 """
 
 import random
@@ -21,11 +22,13 @@ import pytest
 
 from pstt import (
     CtxEntry,
+    GateApp,
     Judgement,
     LetBox,
     LetPair,
     LetStar,
     Pair,
+    Qubit,
     Star,
     TypingError,
     Unit,
@@ -251,3 +254,28 @@ def test_chains_sort_as_with_flat_keys(chip0, sorted_spines):
             j = chain_judgement(text, chip0)
             normalize(j, chip0)
     assert max(len(lets) for lets in sorted_spines) == 2 * 12 + 8  # the 12-let twins
+
+
+def test_a_name_with_a_nul_sorts_as_its_text(chip0, sorted_spines):
+    # A library-built name may hold any character; its key prints it whole.
+    ctx = (CtxEntry("u\0v", 0, Unit()), CtxEntry("w", 0, Unit()), CtxEntry("x", 0, Qubit("q1")))
+    j = Judgement(ctx, LetStar(Var("w"), LetStar(Var("u\0v"), Var("x"))), Qubit("q1"))
+    check(j, chip0)
+    nf = normalize(j, chip0)
+    assert nf.rules == ("swap-unit-unit",)
+    assert nf.term == LetStar(Var("u\0v"), LetStar(Var("w"), Var("x")))
+    assert sorted_spines
+
+
+@pytest.mark.parametrize(
+    "lets",
+    [
+        # A later spine binder is free in an earlier scrutinee.
+        [LetStar(GateApp("H1", (Var("a"),)), Star()), LetBox(0, "a", Var("y"), Star())],
+        # A let inside a scrutinee binds an earlier spine binder's name.
+        [LetBox(0, "a", Var("y"), Star()), LetStar(Pair(LetBox(5, "a", Var("z"), Var("a")), Star()), Star())],
+    ],
+)
+def test_spine_keys_reject_a_binder_that_is_not_fresh(lets):
+    with pytest.raises(AssertionError, match="spine binder 'a' is not fresh"):
+        _spine_keys(lets)
