@@ -69,55 +69,45 @@ def _load_source(path: str) -> SourceFile:
                     f" {exc.diagnostic.message}") from exc
 
 
-def _cmd_check(args, out) -> int:
+def _each_declaration(args, out, answer, errors) -> int:
+    """Print ``name: answer(decl, chip)`` per declaration, or the error it raises."""
     chip = _load_chip(args.chip)
     source = _load_source(args.file)
     failures = 0
     for decl in source.declarations:
         try:
-            check(decl.judgement, chip)
-            print(f"{decl.name}: ok", file=out)
-        except TypingError as exc:
+            text = answer(decl, chip)
+        except errors as exc:
             failures += 1
-            print(f"{decl.name}: {_error_text(str(exc))}", file=out)
+            text = _error_text(str(exc))
+        print(f"{decl.name}: {text}", file=out)
     return 1 if failures else 0
+
+
+def _cmd_check(args, out) -> int:
+    def answer(decl, chip):
+        check(decl.judgement, chip)
+        return "ok"
+
+    return _each_declaration(args, out, answer, TypingError)
 
 
 def _cmd_infer(args, out) -> int:
-    chip = _load_chip(args.chip)
-    source = _load_source(args.file)
-    failures = 0
-    for decl in source.declarations:
-        env = {e.name: e.type for e in decl.ctx}
-        try:
-            judgement = infer(decl.term, env, chip)
-        except TypingError as exc:
-            failures += 1
-            print(f"{decl.name}: {_error_text(str(exc))}", file=out)
-            continue
+    def answer(decl, chip):
+        judgement = infer(decl.term, {e.name: e.type for e in decl.ctx}, chip)
         note = ""
         if any(type(t) is LetStar for t, _ in positions(decl.term)):  # each let * adds a slack
             note = "   # free let-* shifts reported at 0 (convention)"
-        print(
-            f"{decl.name}: ({print_context(judgement.ctx)}) :"
-            f" {print_type(judgement.type)}{note}",
-            file=out,
-        )
-    return 1 if failures else 0
+        return f"({print_context(judgement.ctx)}) : {print_type(judgement.type)}{note}"
+
+    return _each_declaration(args, out, answer, TypingError)
 
 
 def _cmd_normalize(args, out) -> int:
-    chip = _load_chip(args.chip)
-    source = _load_source(args.file)
-    failures = 0
-    for decl in source.declarations:
-        try:
-            nf = normalize(decl.judgement, chip, budget=args.budget)
-            print(f"{decl.name}: {print_term(nf.term)}", file=out)
-        except (TypingError, BudgetExceeded) as exc:
-            failures += 1
-            print(f"{decl.name}: {_error_text(str(exc))}", file=out)
-    return 1 if failures else 0
+    def answer(decl, chip):
+        return print_term(normalize(decl.judgement, chip, budget=args.budget).term)
+
+    return _each_declaration(args, out, answer, (TypingError, BudgetExceeded))
 
 
 def _cmd_eq(args, out) -> int:

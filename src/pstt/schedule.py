@@ -264,20 +264,21 @@ def validate(s: Schedule, j: Judgement) -> ValidationReport:
     start-claim))`` and at most ``[start, max(...))``; nanoseconds the
     judgement demands but the channel cannot certainly supply are gaps,
     nanoseconds the channel may write outside its demanded interval are
-    overlaps.
+    overlaps.  Any channel after a qubit's first, even an empty one, is an
+    overlap over its claimed span: ``to_json`` writes the last.
     """
     spans = _expected_spans(j)
     reports: list[ChannelReport] = []
-    by_qubit: dict[str, Channel] = {}
-    for ch in s.channels:
-        by_qubit.setdefault(ch.qubit, ch)
+    first: dict[str, int] = {}  # qubit -> index of its first channel
+    for k, ch in enumerate(s.channels):
+        first.setdefault(ch.qubit, k)
 
     for qubit, (start, end) in spans.items():
-        ch = by_qubit.get(qubit)
-        if ch is None:
+        if qubit not in first:
             gaps = [(start, end)] if end > start else []
             reports.append(ChannelReport(qubit, start, end, tuple(gaps), ()))
             continue
+        ch = s.channels[first[qubit]]
         sample_end = ch.start + len(ch.samples)
         certain = (ch.start, min(sample_end, ch.end))
         claimed = (ch.start, max(sample_end, ch.end))
@@ -285,8 +286,8 @@ def validate(s: Schedule, j: Judgement) -> ValidationReport:
         overlaps = _interval_minus(claimed, (start, end))
         reports.append(ChannelReport(qubit, start, end, tuple(gaps), tuple(overlaps)))
 
-    for ch in s.channels:
-        if ch.qubit not in spans and (ch.samples or ch.end > ch.start):
+    for k, ch in enumerate(s.channels):
+        if first[ch.qubit] != k or ch.qubit not in spans and (ch.samples or ch.end > ch.start):
             hi = max(ch.end, ch.start + len(ch.samples))
             reports.append(ChannelReport(ch.qubit, None, None, (), ((ch.start, hi),)))
     return ValidationReport(tuple(reports))

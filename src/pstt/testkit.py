@@ -4,8 +4,9 @@ The generator works top-down from a goal type, inventing free variables at
 leaves and re-validating everything through the checker, so every produced
 judgement is accepted by construction.  The oracle is an independent
 breadth-first proof search over single equality-rule rewrites applied in
-both directions; it shares no code with the normalizer beyond the syntax
-utilities, so the two can cross-check each other.
+both directions and enumerated over the syntax table; it still shares no
+code with the normalizer beyond the syntax utilities, so the two can
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .syntax import (
     CtxEntry,
     GateApp,
     Judgement,
-    LETS,
     LetBox,
     LetPair,
     LetStar,
@@ -41,7 +41,6 @@ from .syntax import (
     free_vars,
     fresh_name,
     plug,
-    positions,
     qubits_of_type,
     rebuild,
     subst_parallel,
@@ -309,14 +308,6 @@ def node_types(
     return out
 
 
-def _path(up: Place | None) -> tuple[int, ...]:
-    """Child indices from the root down to a place."""
-    path = []
-    while up is not None:
-        _, i, up = up
-        path.append(i)
-    return tuple(reversed(path))
-
 # ------------------------------------------------------------------ oracle
 #
 # Single-step equality moves, enumerated syntactically in both directions
@@ -355,10 +346,38 @@ class ProofSearchResult:
     path_terms: tuple[TermExpr, ...] = ()
 
 
+_KIND = {LetStar: "unit", LetPair: "pair", LetBox: "box"}
+_FLIP = {"fwd": "bwd", "bwd": "fwd"}
+
+
+def _exits(node: TermExpr) -> range:
+    """Indices of the children a let may leave: a let's scrutinee, any other node's every child."""
+    return range(1) if type(node) in _KIND else range(len(children(node)))
+
+
+def _slot(node: TermExpr, i: int) -> str:
+    """The rule's name for child ``i`` of ``node`` as a place a let leaves."""
+    if type(node) in _KIND:
+        return f"{_KIND[type(node)]}-scrutinee"
+    return {GateApp: "gate", BoxIntro: "box", Pair: "pair-right" if i else "pair-left"}[type(node)]
+
+
+def _siblings_use(node: TermExpr, i: int, names: set[str]) -> bool:
+    """Whether a child of ``node`` other than child ``i`` has one of ``names`` free."""
+    return bool(names) and any(
+        not names.isdisjoint(free_vars(kid)) for j, kid in enumerate(children(node)) if j != i
+    )
+
+
+def _with_child(node: TermExpr, i: int, new: TermExpr) -> TermExpr:
+    kids = list(children(node))
+    kids[i] = new
+    return rebuild(node, kids)
+
+
 def _local_moves(node: TermExpr, ty: TypeExpr | None) -> list[tuple[str, str, TermExpr]]:
     """(rule, direction, new subterm) candidates at one node."""
     out: list[tuple[str, str, TermExpr]] = []
-    taken = set(free_vars(node))
 
     # Contractions.
     match node:
@@ -382,128 +401,45 @@ def _local_moves(node: TermExpr, ty: TypeExpr | None) -> list[tuple[str, str, Te
     out.append(("beta-unit", "bwd", LetStar(Star(), node)))
     if ty == Unit():
         out.append(("eta-unit", "bwd", LetStar(node, Star())))
-    if isinstance(ty, Tensor):
+    if isinstance(ty, (Tensor, Box)):
+        taken = set(free_vars(node))
         x = fresh_name("o", taken)
-        y = fresh_name("o", taken | {x})
-        out.append(("eta-pair", "bwd", LetPair(x, y, node, Pair(Var(x), Var(y)))))
-    if isinstance(ty, Box):
-        x = fresh_name("o", taken)
-        out.append(("eta-box", "bwd", LetBox(ty.grade, x, node, BoxIntro(ty.grade, Var(x)))))
+        if isinstance(ty, Tensor):
+            y = fresh_name("o", taken | {x})
+            out.append(("eta-pair", "bwd", LetPair(x, y, node, Pair(Var(x), Var(y)))))
+        else:
+            out.append(("eta-box", "bwd", LetBox(ty.grade, x, node, BoxIntro(ty.grade, Var(x)))))
 
-    # Commuting conversions: hoist out (fwd) and push in (bwd), plus swaps.
-    kind = {LetStar: "unit", LetPair: "pair", LetBox: "box"}
-
-    match node:
-        case Pair(inner, r) if isinstance(inner, LETS):
+    # Commuting conversions: a let child leaves ``node`` (hoist, fwd), or
+    # ``node``, a let, enters a child of its body (push in, bwd), when no
+    # sibling of that child uses the moving let's binders; then the swap.
+    kids = children(node)
+    for i in _exits(node):
+        inner = kids[i]
+        if type(inner) in _KIND and not _siblings_use(node, i, set(binders(inner))):
             s, b = children(inner)
-            if not set(binders(inner)) & set(free_vars(r)):
-                out.append(
-                    (f"hoist-{kind[type(inner)]}-from-pair-left", "fwd", rebuild(inner, (s, Pair(b, r))))
-                )
-        case _:
-            pass
-    match node:
-        case Pair(l, inner) if isinstance(inner, LETS):
-            s, b = children(inner)
-            if not set(binders(inner)) & set(free_vars(l)):
-                out.append(
-                    (f"hoist-{kind[type(inner)]}-from-pair-right", "fwd", rebuild(inner, (s, Pair(l, b))))
-                )
-        case _:
-            pass
-    match node:
-        case GateApp(g, args):
-            for i, a in enumerate(args):
-                if isinstance(a, LETS):
-                    s, b = children(a)
-                    others = set()
-                    for j, other in enumerate(args):
-                        if j != i:
-                            others |= set(free_vars(other))
-                    if not set(binders(a)) & others:
-                        new_args = args[:i] + (b,) + args[i + 1 :]
-                        out.append(
-                            (f"hoist-{kind[type(a)]}-from-gate", "fwd", rebuild(a, (s, GateApp(g, new_args))))
-                        )
-        case _:
-            pass
-    match node:
-        case BoxIntro(d, inner) if isinstance(inner, LETS):
-            s, b = children(inner)
-            out.append(
-                (f"hoist-{kind[type(inner)]}-from-box", "fwd", rebuild(inner, (s, BoxIntro(d, b))))
-            )
-        case _:
-            pass
-    if isinstance(node, LETS):
-        binders_o = binders(node)
-        s_o, b_o = children(node)
-        if isinstance(s_o, LETS):
-            binders_i = binders(s_o)
-            s_i, b_i = children(s_o)
-            if not set(binders_i) & set(free_vars(b_o)):
-                out.append(
-                    (
-                        f"hoist-{kind[type(s_o)]}-from-{kind[type(node)]}-scrutinee",
-                        "fwd",
-                        rebuild(s_o, (s_i, rebuild(node, (b_i, b_o)))),
-                    )
-                )
-        # Push the outer let into the inner scrutinee (reverse hoist).
-        if isinstance(b_o, LETS):
-            binders_i = binders(b_o)
-            s_i, b_i = children(b_o)
-            if not set(binders_o) & set(free_vars(b_i)) and not set(binders_i) & set(
-                free_vars(s_o)
-            ):
-                out.append(
-                    (
-                        f"hoist-{kind[type(node)]}-from-{kind[type(b_o)]}-scrutinee",
-                        "bwd",
-                        rebuild(b_o, (rebuild(node, (s_o, s_i)), b_i)),
-                    )
-                )
-            # Swap adjacent independent lets (self-inverse family).
-            if not set(binders_o) & set(free_vars(s_i)) and not set(binders_i) & set(
-                free_vars(s_o)
-            ):
-                out.append(
-                    (
-                        f"swap-{kind[type(node)]}-{kind[type(b_o)]}",
-                        "fwd",
-                        rebuild(b_o, (s_i, rebuild(node, (s_o, b_i)))),
-                    )
-                )
-
-    # Push-in moves for constructors (reverse of hoist-out).
-    if isinstance(node, LETS):
-        binders_o = binders(node)
-        s_o, b_o = children(node)
-        free_binders = set(binders_o)
-        match b_o:
-            case Pair(l, r):
-                if not free_binders & set(free_vars(r)):
-                    out.append(
-                        (f"hoist-{kind[type(node)]}-from-pair-left", "bwd", Pair(rebuild(node, (s_o, l)), r))
-                    )
-                if not free_binders & set(free_vars(l)):
-                    out.append(
-                        (f"hoist-{kind[type(node)]}-from-pair-right", "bwd", Pair(l, rebuild(node, (s_o, r))))
-                    )
-            case GateApp(g, args):
-                for i, a in enumerate(args):
-                    others = set()
-                    for j, other in enumerate(args):
-                        if j != i:
-                            others |= set(free_vars(other))
-                    if not free_binders & others:
-                        new_args = args[:i] + (rebuild(node, (s_o, a)),) + args[i + 1 :]
-                        out.append((f"hoist-{kind[type(node)]}-from-gate", "bwd", GateApp(g, new_args)))
-            case BoxIntro(d, b):
-                out.append((f"hoist-{kind[type(node)]}-from-box", "bwd", BoxIntro(d, rebuild(node, (s_o, b)))))
-            case _:
-                pass
-
+            rule = f"hoist-{_KIND[type(inner)]}-from-{_slot(node, i)}"
+            out.append((rule, "fwd", rebuild(inner, (s, _with_child(node, i, b)))))
+    if type(node) not in _KIND:
+        return out
+    names = set(binders(node))
+    s_o, body = kids
+    # The body let's binders must not be free in the outer scrutinee, for
+    # the push-in into the body let's scrutinee as for the swap.  Only the
+    # swap needs this to avoid capture; the push-in keeps it because
+    # dropping it adds moves, and c08 counts what the oracle proves.
+    inner_names = set(binders(body))
+    if inner_names and not inner_names.isdisjoint(free_vars(s_o)):
+        return out
+    body_kids = children(body)
+    for i in _exits(body):
+        if not _siblings_use(body, i, names):
+            rule = f"hoist-{_KIND[type(node)]}-from-{_slot(body, i)}"
+            out.append((rule, "bwd", _with_child(body, i, rebuild(node, (s_o, body_kids[i])))))
+    if type(body) in _KIND and names.isdisjoint(free_vars(body_kids[0])):
+        s_i, b_i = body_kids
+        rule = f"swap-{_KIND[type(node)]}-{_KIND[type(body)]}"
+        out.append((rule, "fwd", rebuild(body, (s_i, rebuild(node, (s_o, b_i))))))
     return out
 
 
@@ -535,8 +471,9 @@ def all_moves(
     except (TypingError, KeyError):
         types = {}
     moves: list[Move] = []
-    for node, up in positions(j.term):
-        path = _path(up)
+    stack: list[tuple[TermExpr, tuple[int, ...], Place | None]] = [(j.term, (), None)]
+    while stack:
+        node, path, up = stack.pop()
         for rule, direction, new_node in _local_moves(node, types.get(path)):
             if skip_noise and (rule, direction) in NOISE_MOVES:
                 continue
@@ -547,6 +484,9 @@ def all_moves(
                 except (TypingError, ValueError):
                     continue
             moves.append(Move(rule, direction, path, candidate))
+        kids = children(node)
+        for i in range(len(kids) - 1, -1, -1):  # pre-order, left child first
+            stack.append((kids[i], path + (i,), (node, i, up)))
     return moves
 
 
@@ -571,53 +511,40 @@ def search_equal(
         "s": {start_s: (s, None, None)},
         "t": {start_t: (t, None, None)},
     }
-    frontiers = {"s": [s], "t": [t]}
+    frontiers = {"s": [(s, start_s)], "t": [(t, start_t)]}
     explored = 0
 
-    def build_proof(meet: str) -> tuple[tuple[ProofStep, ...], tuple[TermExpr, ...]]:
-        forward: list[ProofStep] = []
-        fwd_terms: list[TermExpr] = []
-        key = meet
-        while True:
-            term, parent, step = sides["s"][key]
-            fwd_terms.append(term)
-            if parent is None:
-                break
-            forward.append(step)
-            key = parent
-        forward.reverse()
-        fwd_terms.reverse()
-        backward: list[ProofStep] = []
-        bwd_terms: list[TermExpr] = []
-        key = meet
-        while True:
-            term, parent, step = sides["t"][key]
-            if parent is None:
-                break
-            flipped = ProofStep(step.rule, "bwd" if step.direction == "fwd" else "fwd", step.path)
-            backward.append(flipped)
-            bwd_terms.append(sides["t"][parent][0])
-            key = parent
-        return tuple(forward + backward), tuple(fwd_terms + bwd_terms)
+    def trace(side: str, key: str) -> list[tuple[TermExpr, ProofStep | None]]:
+        """(term, the step that reached it) from ``key`` back to ``side``'s start."""
+        links = []
+        while key is not None:
+            term, key, step = sides[side][key]
+            links.append((term, step))
+        return links
 
     for round_no in range(1, depth + 1):
         for side in ("s", "t"):
-            new_frontier: list[TermExpr] = []
-            for term in frontiers[side]:
-                j = Judgement(ctx, term, type_)
-                for move in all_moves(j, chip):
+            new_frontier: list[tuple[TermExpr, str]] = []
+            for term, term_key in frontiers[side]:
+                for move in all_moves(Judgement(ctx, term, type_), chip):
                     key = alpha_key(move.result)
                     if key in sides[side]:
                         continue
                     sides[side][key] = (
                         move.result,
-                        alpha_key(term),
+                        term_key,
                         ProofStep(move.rule, move.direction, move.path),
                     )
-                    new_frontier.append(move.result)
+                    new_frontier.append((move.result, key))
                     if key in sides["t" if side == "s" else "s"]:
-                        proof, path = build_proof(key)
-                        return ProofSearchResult(True, proof, round_no, path)
+                        # s to the meet, then the t side's steps undone back to t
+                        s_half, t_half = trace("s", key)[::-1], trace("t", key)
+                        proof = [step for _, step in s_half[1:]]
+                        proof += [
+                            ProofStep(p.rule, _FLIP[p.direction], p.path) for _, p in t_half[:-1]
+                        ]
+                        path = tuple(term for term, _ in s_half + t_half[1:])
+                        return ProofSearchResult(True, tuple(proof), round_no, path)
                     if len(sides["s"]) + len(sides["t"]) > _MAX_NODES:
                         return ProofSearchResult(False, (), round_no)
             frontiers[side] = new_frontier
@@ -707,12 +634,11 @@ def enumerate_well_typed(
                     if not lefts:
                         continue
                     rights = enum(right_size, right_set, binders)
-                    rights_all = rights
                     for ls, lty in lefts:
-                        for rs, rty in rights_all:
+                        for rs, rty in rights:
                             out.append((Pair(ls, rs), Tensor(lty, rty)))
                         if lty == Unit():
-                            for rs, rty in rights_all:
+                            for rs, rty in rights:
                                 out.append((LetStar(ls, rs), rty))
                     # Two-qubit gates.
                     for decl in gate_decls:
@@ -721,7 +647,7 @@ def enumerate_well_typed(
                             for ls, lty in lefts:
                                 if lty != w1:
                                     continue
-                                for rs, rty in rights_all:
+                                for rs, rty in rights:
                                     if rty == w2:
                                         out.append((GateApp(decl.name, (ls, rs)), decl.type))
                     # let-pair / let-box with scrutinee on the left split.

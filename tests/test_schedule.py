@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from pstt import (
     EqKind,
     Judgement,
@@ -131,6 +133,30 @@ def test_extra_channel_is_flagged(chip0):
     extra = Schedule(s.channels + (Channel("q2", 0, 4, (1, 2, 3, 4)),), s.provenance)
     report = validate(extra, j)
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "where, stray, summary",
+    [
+        ("after", Channel("q1", 0, 7, (5,) * 7), "q1: overlaps [(0, 7)]"),
+        (
+            "before",
+            Channel("q1", 0, 7, (5,) * 7),
+            "q1: gaps [(-20, 0)]; q1: overlaps [(0, 7)]; q1: overlaps [(-20, 0)]",
+        ),
+        ("after", Channel("q1", 3, 3, ()), "q1: overlaps [(3, 3)]"),
+    ],
+    ids=["appended", "prepended", "empty-appended"],
+)
+def test_repeated_channel_is_flagged(chip0, where, stray, summary):
+    # ``to_json`` writes a qubit's last channel, so every channel after
+    # the first, empty or not, is an overlap over its claimed span.
+    j = Judgement(make_context([("x", -20, Qubit("q1"))]), parse_term("H1(x)"), Qubit("q1"))
+    s = emit(j, chip0)
+    channels = s.channels + (stray,) if where == "after" else (stray,) + s.channels
+    report = validate(Schedule(channels, s.provenance), j)
+    assert not report.passed
+    assert report.summary() == summary
 
 
 def test_emit_invariant_under_judgemental_equality(chip0):

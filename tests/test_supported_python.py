@@ -1,8 +1,9 @@
-"""Every module of the package parses as the oldest Python it declares.
+"""The package, its tests and its benchmark parse as the oldest Python declared.
 
 ``pyproject.toml`` declares ``requires-python``; syntax newer than that
 version (a ``match`` statement on 3.9, say) would break ``import pstt``
-there.  This checks syntax only, not newer library features.
+there, and tier-1 collects ``tests`` and ``bench`` on it too.  This
+checks syntax only, not newer library features.
 """
 
 import ast
@@ -21,5 +22,6 @@ def test_sources_parse_as_the_oldest_supported_python():
     assert oldest == (3, 10)
     sources = sorted((ROOT / "src" / "pstt").rglob("*.py"))
     assert len(sources) > 10
+    sources += sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=oldest)
