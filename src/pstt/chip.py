@@ -138,11 +138,6 @@ class ChipSpec:
                 decl = self._delays[name] = GateDecl(name, (q,), d)
         return decl
 
-    def delay_of(self, name: str) -> tuple[QubitId, int] | None:
-        """Qubit and duration of the delay gate ``name`` synthesises, if any."""
-        decl = self._delay(name)
-        return None if decl is None else (decl.qubits[0], decl.duration)
-
     def find_gate(self, name: str) -> GateDecl | None:
         """Resolve a gate name, synthesising delay gates on demand."""
         decl = self._gate_index.get(name)

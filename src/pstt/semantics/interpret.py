@@ -2,17 +2,17 @@
 
 A context ``x1:^d1 A1, ..., xn:^dn An`` denotes the left-nested object
 ``(..(I (x) d1.A1) .. (x) dn.An)``; a derivation denotes a morphism from its
-context object to its type object, built by structural recursion over the
-solved derivation evidence.
+context object to its type object, built by a post-order walk on an
+explicit stack over the solved derivation evidence.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..surface import print_context
 from ..syntax import Context, CtxEntry, Judgement, shift_context
-from ..typecheck import Derivation
+from ..typecheck import Derivation, premise_shifts
 from .model import (
     Model,
     ModelError,
@@ -20,10 +20,13 @@ from .model import (
     ShapeLeaf,
     ShapeNode,
     ShapeUnit,
-    comb_obj,
     shape_obj,
     shapes_equal,
     structural,
+)
+
+_RULES = frozenset(
+    ("var", "unit-intro", "pair-intro", "gate", "box-intro", "unit-elim", "pair-elim", "box-elim")
 )
 
 
@@ -41,40 +44,56 @@ def context_obj(m: Model, ctx: Context) -> Any:
 
 def _absorb(m: Model, d: int, premise_ctx: Context) -> Any:
     """[[d + ctx]] -> d . [[ctx]]  via multiplicators and distributors."""
-    if not premise_ctx:
-        return m.dist_unit_inv(d)
-    init, last = premise_ctx[:-1], premise_ctx[-1]
-    rec = _absorb(m, d, init)
-    leaf_obj = m.type_obj(last.type)
-    leaf_mor = m.multiplicator_inv(d, last.grade, leaf_obj)
-    step = m.tensor_mor(rec, leaf_mor)
-    gather = m.dist_tensor(d, context_obj(m, init), m.act_obj(last.grade, leaf_obj))
-    return m.compose(gather, step)
+    mor, init = m.dist_unit_inv(d), m.unit()  # init: the object of the entries absorbed so far
+    for entry in premise_ctx:
+        a = m.type_obj(entry.type)
+        leaf = m.act_obj(entry.grade, a)
+        step = m.tensor_mor(mor, m.multiplicator_inv(d, entry.grade, a))
+        mor = m.compose(m.dist_tensor(d, init, leaf), step)
+        init = m.tensor_obj(init, leaf)
+    return mor
 
 
-def _rc_shape(groups: list[Shape]) -> Shape:
-    if len(groups) == 1:
-        return groups[0]
-    return ShapeNode(groups[0], _rc_shape(groups[1:]))
+def _fold_right(pair: Callable[[Any, Any], Any], items: list[Any]) -> Any:
+    """``pair(items[0], pair(items[1], ... items[-1]))``, right-nested."""
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = pair(item, out)
+    return out
 
 
-def _tensor_chain(m: Model, morphisms: list[Any]) -> Any:
-    if len(morphisms) == 1:
-        return morphisms[0]
-    return m.tensor_mor(morphisms[0], _tensor_chain(m, morphisms[1:]))
+def _split(m: Model, parts: list[Context]) -> tuple[Any, Context]:
+    """[[c1, c2, ...]] -> [[c1]] (x) ([[c2]] (x) ...), and the joined context."""
+    ctx = tuple(e for c in parts for e in c)
+    groups = [context_shape(m, c) for c in parts]
+    return structural(m, context_shape(m, ctx), _fold_right(ShapeNode, groups)), ctx
 
 
 def _dist_chain(m: Model, d: int, objs: list[Any]) -> Any:
     """((d.O1) (x) (d.O2) (x) ...) -> d . (O1 (x) O2 (x) ...), right-nested."""
-    if len(objs) == 1:
-        return m.identity(m.act_obj(d, objs[0]))
-    rest = objs[1:]
-    rest_whole = comb_obj(m, rest)
-    step = m.tensor_mor(m.identity(m.act_obj(d, objs[0])), _dist_chain(m, d, rest))
-    return m.compose(m.dist_tensor(d, objs[0], rest_whole), step)
+    mor, rest = m.identity(m.act_obj(d, objs[-1])), objs[-1]  # rest: the suffix's object
+    for o in reversed(objs[:-1]):
+        step = m.tensor_mor(m.identity(m.act_obj(d, o)), mor)
+        mor = m.compose(m.dist_tensor(d, o, rest), step)
+        rest = m.tensor_obj(o, rest)
+    return mor
 
 
-def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
+def _open(m: Model, d: Derivation, shift: int) -> tuple[Any, list[ShapeLeaf]]:
+    """The map opening a let's scrutinee at ``shift``, and the binder leaves it lands on."""
+    if d.rule == "unit-elim":
+        return m.dist_unit(shift), []
+    ty = d.premises[0].type
+    if d.rule == "pair-elim":
+        a, b = m.type_obj(ty.left), m.type_obj(ty.right)
+        leaves = [ShapeLeaf(m.act_obj(shift, o), x) for o, x in ((a, d.term.x), (b, d.term.y))]
+        return m.dist_tensor_inv(shift, a, b), leaves
+    grade, binder_grade = d.params
+    a = m.type_obj(ty.body)
+    return m.multiplicator(shift, grade, a), [ShapeLeaf(m.act_obj(binder_grade, a), d.term.x)]
+
+
+def _node(m: Model, d: Derivation, premises: list[tuple[Any, Context]]) -> tuple[Any, Context]:
     """``d``'s morphism and its domain's context, built from its premises'."""
     match d.rule:
         case "var":
@@ -86,126 +105,65 @@ def _interp(d: Derivation, m: Model) -> tuple[Any, Context]:
             return m.identity(m.unit()), ()
 
         case "pair-intro":
-            (left, lctx), (right, rctx) = (_interp(p, m) for p in d.premises)
-            ctx = lctx + rctx
-            split = structural(
-                m,
-                context_shape(m, ctx),
-                ShapeNode(context_shape(m, lctx), context_shape(m, rctx)),
-            )
+            (left, lctx), (right, rctx) = premises
+            split, ctx = _split(m, [lctx, rctx])
             return m.compose(m.tensor_mor(left, right), split), ctx
 
         case "gate":
             dur = d.params[0]
-            mors, ctxs = zip(*(_interp(p, m) for p in d.premises))
-            shifted = [shift_context(-dur, c) for c in ctxs]
-            ctx = tuple(e for c in shifted for e in c)
-            groups = [context_shape(m, c) for c in shifted]
-            split = structural(m, context_shape(m, ctx), _rc_shape(groups))
-            absorbed = _tensor_chain(m, [_absorb(m, -dur, c) for c in ctxs])
+            mors, ctxs = zip(*premises)
+            split, ctx = _split(m, [shift_context(-dur, c) for c in ctxs])
+            absorbed = _fold_right(m.tensor_mor, [_absorb(m, -dur, c) for c in ctxs])
             gathered = _dist_chain(m, -dur, [context_obj(m, c) for c in ctxs])
-            body = m.act_mor(-dur, _tensor_chain(m, list(mors)))
+            body = m.act_mor(-dur, _fold_right(m.tensor_mor, list(mors)))
             return m.compose_all([split, absorbed, gathered, body, m.gate_mor(d.term.gate)]), ctx
-
-        case "unit-elim":
-            shift = d.params[0]
-            (scrut, sctx), (body, delta) = (_interp(p, m) for p in d.premises)
-            shifted = shift_context(shift, sctx)
-            ctx = shifted + delta
-            delta_obj = context_obj(m, delta)
-            split = structural(
-                m,
-                context_shape(m, ctx),
-                ShapeNode(context_shape(m, shifted), context_shape(m, delta)),
-            )
-            mor = m.compose_all(
-                [
-                    split,
-                    m.tensor_mor(_absorb(m, shift, sctx), m.identity(delta_obj)),
-                    m.tensor_mor(m.act_mor(shift, scrut), m.identity(delta_obj)),
-                    m.tensor_mor(m.dist_unit(shift), m.identity(delta_obj)),
-                    m.lunit(delta_obj),
-                    body,
-                ]
-            )
-            return mor, ctx
-
-        case "pair-elim":
-            shift = d.params[0]
-            (scrut, sctx), (body, bctx) = (_interp(p, m) for p in d.premises)
-            x, y = d.term.x, d.term.y
-            tensor_ty = d.premises[0].type
-            a_obj = m.type_obj(tensor_ty.left)
-            b_obj = m.type_obj(tensor_ty.right)
-            shifted = shift_context(shift, sctx)
-            delta = tuple(e for e in bctx if e.name not in (x, y))
-            ctx = shifted + delta
-            delta_obj = context_obj(m, delta)
-            split = structural(
-                m,
-                context_shape(m, ctx),
-                ShapeNode(context_shape(m, shifted), context_shape(m, delta)),
-            )
-            binder_shape = ShapeNode(
-                ShapeNode(
-                    ShapeLeaf(m.act_obj(shift, a_obj), x),
-                    ShapeLeaf(m.act_obj(shift, b_obj), y),
-                ),
-                context_shape(m, delta),
-            )
-            reorder = structural(m, binder_shape, context_shape(m, bctx))
-            mor = m.compose_all(
-                [
-                    split,
-                    m.tensor_mor(_absorb(m, shift, sctx), m.identity(delta_obj)),
-                    m.tensor_mor(m.act_mor(shift, scrut), m.identity(delta_obj)),
-                    m.tensor_mor(m.dist_tensor_inv(shift, a_obj, b_obj), m.identity(delta_obj)),
-                    reorder,
-                    body,
-                ]
-            )
-            return mor, ctx
 
         case "box-intro":
             grade = d.params[0]
-            body, bctx = _interp(d.premises[0], m)
+            ((body, bctx),) = premises
             mor = m.compose(m.act_mor(grade, body), _absorb(m, grade, bctx))
             return mor, shift_context(grade, bctx)
 
-        case "box-elim":
-            grade, binder_grade = d.params
-            shift = binder_grade - grade
-            (scrut, sctx), (body, bctx) = (_interp(p, m) for p in d.premises)
-            x = d.term.x
-            a_obj = m.type_obj(d.premises[0].type.body)
-            shifted = shift_context(shift, sctx)
-            delta = tuple(e for e in bctx if e.name != x)
-            ctx = shifted + delta
-            delta_obj = context_obj(m, delta)
-            split = structural(
-                m,
-                context_shape(m, ctx),
-                ShapeNode(context_shape(m, shifted), context_shape(m, delta)),
-            )
-            binder_shape = ShapeNode(
-                ShapeLeaf(m.act_obj(binder_grade, a_obj), x), context_shape(m, delta)
-            )
-            reorder = structural(m, binder_shape, context_shape(m, bctx))
-            mor = m.compose_all(
-                [
-                    split,
-                    m.tensor_mor(_absorb(m, shift, sctx), m.identity(delta_obj)),
-                    m.tensor_mor(m.act_mor(shift, scrut), m.identity(delta_obj)),
-                    m.tensor_mor(
-                        m.multiplicator(shift, grade, a_obj), m.identity(delta_obj)
-                    ),
-                    reorder,
-                    body,
-                ]
-            )
-            return mor, ctx
+    # unit-elim, pair-elim and box-elim: split, absorb, act on the scrutinee,
+    # open it, enter the body's context, then the body
+    shift = premise_shifts(d)[0]
+    (scrut, sctx), (body, bctx) = premises
+    opened, leaves = _open(m, d, shift)
+    names = {leaf.name for leaf in leaves}
+    delta = tuple(e for e in bctx if e.name not in names)
+    split, ctx = _split(m, [shift_context(shift, sctx), delta])
+    delta_obj = context_obj(m, delta)
+    if leaves:
+        binders = ShapeNode(_fold_right(ShapeNode, leaves), context_shape(m, delta))
+        enter = structural(m, binders, context_shape(m, bctx))
+    else:
+        enter = m.lunit(delta_obj)
+    on_scrut = [_absorb(m, shift, sctx), m.act_mor(shift, scrut), opened]
+    steps = [m.tensor_mor(f, m.identity(delta_obj)) for f in on_scrut]
+    return m.compose_all([split, *steps, enter, body]), ctx
 
-    raise ModelError(f"unknown derivation rule {d.rule!r}")
+
+def _interp(root: Derivation, m: Model) -> tuple[Any, Context]:
+    """``root``'s morphism and its domain's context, built bottom-up.
+
+    Each node is pushed, then its premises, so that they finish left to
+    right; a node is built once its premises' results are on ``done``.
+    """
+    done: list[tuple[Any, Context]] = []
+    stack: list[tuple[Derivation, bool]] = [(root, False)]  # (node, premises done)
+    while stack:
+        d, ready = stack.pop()
+        if ready:
+            k = len(done) - len(d.premises)
+            premises = done[k:]
+            del done[k:]
+            done.append(_node(m, d, premises))
+        elif d.rule in _RULES:
+            stack.append((d, True))
+            stack += [(p, False) for p in reversed(d.premises)]
+        else:
+            raise ModelError(f"unknown derivation rule {d.rule!r}")
+    return done[0]
 
 
 def interpret(j: Judgement, evidence: Derivation, m: Model) -> Any:

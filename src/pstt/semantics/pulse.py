@@ -85,9 +85,7 @@ def _morphism(
     signals: dict[str, tuple[int, ...]],
     provenance: tuple[Provenance, ...] = (),
 ) -> PulseMorphism:
-    return PulseMorphism(
-        src, tgt, tuple(sorted(signals.items())), tuple(sorted(provenance, key=lambda p: (p.qubit, p.start, p.gate)))
-    )
+    return PulseMorphism(src, tgt, tuple(sorted(signals.items())), provenance)
 
 
 class PulseModel(Model):

@@ -2,7 +2,7 @@
 
 Kept as the reference for ``pstt.schedule.emit``: every gate is resolved
 with ``find_gate`` and, when it has no calibration, again with
-``delay_of``; every node's premises, a gate's included, are pushed at the
+``find_calibration``; every node's premises, a gate's included, are pushed at the
 times ``premise_shifts`` gives.  The helpers that lay out and tile the
 channels are the package's own.
 """
@@ -40,7 +40,7 @@ def emit(j, chip) -> Schedule:
             if decl is None:
                 raise ModelError(f"unknown gate {name!r}")
             cal = chip.calibrations.get(name)
-            if cal is None and chip.delay_of(name) is None:
+            if cal is None and chip.find_calibration(name) is None:
                 raise MissingCalibration(name)
             lo = o - decl.duration
             for q in decl.qubits:

@@ -168,7 +168,6 @@ def test_delay_gate_lookups_return_one_object_per_name(chip0):
     assert chip0.find_calibration("delay[q1,13]") is not cal
     assert decl == GateDecl("delay[q1,13]", ("q1",), 13)
     assert cal.samples == {"q1": (0,) * 13}
-    assert chip0.delay_of("delay[q1,13]") == ("q1", 13)
     assert chip0.find_gate("delay[q1,14]") is not decl
 
 
@@ -177,9 +176,7 @@ def test_invalid_delays_still_resolve_to_nothing(chip0):
         for _ in range(2):
             assert chip0.find_gate(name) is None
             assert chip0.find_calibration(name) is None
-            assert chip0.delay_of(name) is None
     disabled = parse_chip_spec(json.dumps({"qubits": ["q1"], "delay_gates_enabled": False}))
     for _ in range(2):
         assert disabled.find_gate("delay[q1,5]") is None
         assert disabled.find_calibration("delay[q1,5]") is None
-        assert disabled.delay_of("delay[q1,5]") is None

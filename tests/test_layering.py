@@ -59,3 +59,42 @@ def test_no_function_level_imports():
                 continue
             found.append(f"{rel}:{node.lineno} in {fn}")
     assert found == []
+
+
+# Functions whose body calls themselves, with why their depth is bounded.
+SELF_RECURSIVE = {
+    ("semantics/model.py", "_merge_combs"): "coherence construction; depth is the context length",
+    ("semantics/model.py", "_to_comb"): "coherence construction; depth is the context length",
+    ("semantics/model.py", "_swap_at"): "coherence construction; depth is the context length",
+    ("testkit.py", "random_type"): "generator; depth bounded by the requested size",
+    ("testkit.py", "enum"): "enumerator; depth bounded by the requested size",
+}
+
+
+def _calls_itself(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if isinstance(f, ast.Attribute) and f.attr == fn.name:
+                if isinstance(f.value, ast.Name) and f.value.id == "self":
+                    return True
+    return False
+
+
+def test_only_the_listed_functions_call_themselves():
+    """Every function that calls its own name, or ``self.<name>`` for a method.
+
+    The coherence construction is reached only through the syntactic
+    model's default ``reorder``; everything that walks a judgement's term or
+    derivation does so on an explicit stack.  Mutual recursion, such as
+    ``testkit``'s ``_Gen.gen`` and ``gen_with``, is not seen here.
+    """
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(fn):
+                found.add((rel, fn.name))
+    assert found == set(SELF_RECURSIVE)
